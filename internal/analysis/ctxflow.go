@@ -7,8 +7,9 @@ import (
 )
 
 // CtxFlowPackages scopes ctxflow to the long-running serving layer, where a
-// dropped context turns cancellation into a wedge: the daemon and the
-// cluster coordinator plumbing, and the distributed controller. The
+// dropped context turns cancellation into a wedge: the shared job service
+// and the daemon (internal/server), the cluster coordinator plumbing, and
+// the distributed controller. The
 // fixture package keeps the analyzer honest under test.
 var CtxFlowPackages = []string{
 	"internal/server",

@@ -9,8 +9,9 @@ import (
 )
 
 // LockSafePackages scopes locksafe to the packages where a stuck or leaked
-// mutex takes the serving layer down: the daemon, the replication
-// machinery, and the distributed controller. The fixture package keeps
+// mutex takes the serving layer down: the shared job service and the
+// daemon (internal/server), the coordinator, the replication machinery,
+// and the distributed controller. The fixture package keeps
 // the analyzer honest under test.
 var LockSafePackages = []string{
 	"internal/server",

@@ -28,13 +28,12 @@ var WallClockAllowedFiles = []string{
 	"internal/sched/instrument.go",
 	// Per-analyzer timing in the lint driver; never reaches artifacts.
 	"cmd/greencell-lint/main.go",
-	// greencelld job lifecycle timestamps (created/started/finished); they
-	// surface only in API status responses, never in the metrics stream.
+	// The job service's clock (server.Now): job lifecycle timestamps for
+	// the daemon and the coordinator, plus the coordinator's lease
+	// deadlines and breaker cooldowns. They surface only in API status
+	// responses and operational decisions; never in the metrics stream,
+	// the journal, or the cache key.
 	"internal/server/job.go",
-	// Cluster coordinator wall time: lease deadlines, breaker cooldowns,
-	// and status timestamps; never enters the merged metrics stream, the
-	// journal, or the cache key.
-	"internal/cluster/clock.go",
 }
 
 // Name implements Analyzer.

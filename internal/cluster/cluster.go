@@ -10,9 +10,10 @@
 // re-dispatches the cells of expired leases and lost workers to healthy
 // peers. Completed cells land in a content-addressed cache keyed by
 // sha256(canonical spec, seed), so re-dispatched or resubmitted cells are
-// exactly-once and free, and a coordinator-side JSONL journal (torn-line
-// tolerant, like the daemon's) lets a restarted coordinator resume
-// in-flight jobs from their last finished seed.
+// exactly-once and free. The job table, journal, HTTP API and drain are
+// the shared job service of internal/server; the Coordinator is its fleet
+// executor, journaling each finished cell so a restarted coordinator
+// resumes in-flight jobs from their last finished seed.
 //
 // Determinism is inherited from the daemon contract: a cell's stream is a
 // pure function of (spec, seed), so the coordinator's merged, seed-ordered
@@ -24,11 +25,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -153,61 +151,36 @@ type cell struct {
 	errMsg    string
 }
 
-// Job is one coordinated experiment. Guarded by the coordinator mutex
-// except done (closed once) and merge (internally locked).
+// Job is one coordinated experiment's fleet-side state — a cell per seed
+// and the merged stream — and the Coordinator's server.Run. cells are
+// guarded by the coordinator mutex; merge is internally locked.
 type Job struct {
-	ID    string
-	Req   server.JobRequest
-	Seeds []int64
-
-	state      server.JobState
-	errMsg     string
-	recovered  bool
-	createdAt  time.Time
-	startedAt  time.Time
-	finishedAt time.Time
-	totalSlots int
-
+	*server.Job
+	c     *Coordinator
 	cells map[int64]*cell
 	merge *mergeLog
-
-	result *server.JobResult
-
-	cancel       context.CancelFunc
-	cancelReason string
-	done         chan struct{}
 }
 
-// cancel reasons, mirroring the daemon: a user DELETE journals a terminal
-// event; a drain does not, leaving the job recoverable.
-const (
-	cancelUser  = "user"
-	cancelDrain = "drain"
-)
+// journalEntry is the shared job journal's record; the coordinator adds
+// the "cell" event.
+type journalEntry = server.JournalEntry
 
-// Coordinator owns the worker pool, the job table, the journal, and the
-// content-addressed cache. Create with New, serve Handler, stop with Drain
-// (graceful) or Close.
+// Coordinator is the job service over a worker fleet: it owns the worker
+// pool and the content-addressed cache, and executes the jobs of its
+// embedded server.Service. Create with New, serve Handler, stop with
+// Drain (graceful) or Close.
 type Coordinator struct {
+	*server.Service
+
 	cfg     Config
 	hc      *http.Client
 	workers []*worker
 	cache   *cache
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	order   []string
-	nextID  int
-	journal *journal
+	// mu is the service mutex: it guards the job table and every Job's
+	// cells.
+	mu sync.Mutex
 
-	draining bool
-
-	reg            *metrics.Registry
-	cSubmitted     *metrics.Counter
-	cDone          *metrics.Counter
-	cFailed        *metrics.Counter
-	cCancelled     *metrics.Counter
-	cRecovered     *metrics.Counter
 	cCellsDone     *metrics.Counter
 	cCellsFailed   *metrics.Counter
 	cDispatches    *metrics.Counter
@@ -217,11 +190,22 @@ type Coordinator struct {
 	cCacheEvicts   *metrics.Counter
 	cRPCRetries    *metrics.Counter
 	cEvictions     *metrics.Counter
-	gActive        *metrics.Gauge
 
+	// runCtx bounds the heartbeat loops; wg counts them and the per-job
+	// dispatcher goroutines.
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
+}
+
+var coordIdentity = server.Identity{
+	Program:      "greencell-coord",
+	IDPrefix:     "cjob-",
+	Metrics:      "coord_",
+	RunningGauge: "coord_jobs_active",
+	Draining:     "coordinator is draining; not accepting jobs",
+	Full:         "job table is full",
+	Requeued:     "interrupted by shutdown drain; will resume on restart",
 }
 
 // New builds a coordinator, replays its journal (admitting completed cells
@@ -238,172 +222,49 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		hc:        &http.Client{Transport: cfg.Transport},
 		cache:     cch,
-		jobs:      make(map[string]*Job),
-		reg:       metrics.NewRegistry(),
 		runCtx:    ctx,
 		runCancel: cancel,
 	}
+	c.Service = server.NewService(&c.mu, coordIdentity, fleet{c})
 	for i, base := range cfg.Workers {
 		c.workers = append(c.workers, newWorker(i, base))
 	}
 
-	c.cSubmitted = c.reg.Counter("coord_jobs_submitted_total", "jobs", "jobs accepted over the API or recovered from the journal")
-	c.cDone = c.reg.Counter("coord_jobs_done_total", "jobs", "jobs finished with every seed successful")
-	c.cFailed = c.reg.Counter("coord_jobs_failed_total", "jobs", "jobs finished with at least one failed seed")
-	c.cCancelled = c.reg.Counter("coord_jobs_cancelled_total", "jobs", "jobs cancelled by DELETE")
-	c.cRecovered = c.reg.Counter("coord_jobs_recovered_total", "jobs", "interrupted jobs resumed at startup from the journal")
-	c.cCellsDone = c.reg.Counter("coord_cells_done_total", "cells", "completed (spec, seed) cells, cache hits included")
-	c.cCellsFailed = c.reg.Counter("coord_cells_failed_total", "cells", "cells failed after exhausting their lease attempts")
-	c.cDispatches = c.reg.Counter("coord_dispatches_total", "leases", "leases placed on workers (single-seed daemon jobs)")
-	c.cRedispatches = c.reg.Counter("coord_redispatches_total", "leases", "leases re-placed after a lease expiry, worker loss, or worker-side interruption")
-	c.cLeaseExpiries = c.reg.Counter("coord_lease_expiries_total", "leases", "leases that hit their deadline before the cell completed")
-	c.cCacheHits = c.reg.Counter("coord_cache_hits_total", "cells", "cells served from the content-addressed result cache")
-	c.cCacheEvicts = c.reg.Counter("coord_cache_evictions_total", "cells", "cells evicted from the result cache by the size cap (LRU)")
-	c.cRPCRetries = c.reg.Counter("coord_rpc_retries_total", "calls", "worker RPC attempts retried after a transient failure")
-	c.cEvictions = c.reg.Counter("coord_worker_evictions_total", "evictions", "circuit-breaker evictions of unhealthy workers")
-	c.gActive = c.reg.Gauge("coord_jobs_active", "jobs", "jobs currently tracked and non-terminal")
+	reg := c.Registry()
+	c.cCellsDone = reg.Counter("coord_cells_done_total", "cells", "completed (spec, seed) cells, cache hits included")
+	c.cCellsFailed = reg.Counter("coord_cells_failed_total", "cells", "cells failed after exhausting their lease attempts")
+	c.cDispatches = reg.Counter("coord_dispatches_total", "leases", "leases placed on workers (single-seed daemon jobs)")
+	c.cRedispatches = reg.Counter("coord_redispatches_total", "leases", "leases re-placed after a lease expiry, worker loss, or worker-side interruption")
+	c.cLeaseExpiries = reg.Counter("coord_lease_expiries_total", "leases", "leases that hit their deadline before the cell completed")
+	c.cCacheHits = reg.Counter("coord_cache_hits_total", "cells", "cells served from the content-addressed result cache")
+	c.cCacheEvicts = reg.Counter("coord_cache_evictions_total", "cells", "cells evicted from the result cache by the size cap (LRU)")
+	c.cRPCRetries = reg.Counter("coord_rpc_retries_total", "calls", "worker RPC attempts retried after a transient failure")
+	c.cEvictions = reg.Counter("coord_worker_evictions_total", "evictions", "circuit-breaker evictions of unhealthy workers")
 
-	var resume []*Job
-	if cfg.JournalPath != "" {
-		resume, err = c.recover(cfg.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		j, err := openJournal(cfg.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		c.journal = j
+	resume, err := c.Open(cfg.JournalPath)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-
 	for _, w := range c.workers {
 		c.wg.Add(1)
 		go c.heartbeatLoop(w)
 	}
 	for _, j := range resume {
-		c.startJob(j)
+		fleet{c}.Enqueue(j)
 	}
 	return c, nil
 }
 
-// recover replays the journal: completed cells of every job are admitted
-// into the cache index, terminal jobs become read-only history (their
-// merged streams rebuilt from whatever blobs the cache still holds), and
-// jobs whose last lifecycle event was non-terminal are returned for
-// re-running — the cache makes their finished seeds free.
-func (c *Coordinator) recover(path string) ([]*Job, error) {
-	entries, err := loadJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	type folded struct {
-		req   *server.JobRequest
-		last  string
-		errS  string
-		cells []journalEntry
-	}
-	byID := make(map[string]*folded)
-	var ids []string
-	for _, e := range entries {
-		f := byID[e.ID]
-		if f == nil {
-			f = &folded{}
-			byID[e.ID] = f
-			ids = append(ids, e.ID)
-		}
-		if e.Req != nil {
-			f.req = e.Req
-		}
-		if e.Event == "cell" {
-			if e.Metrics != nil && e.Key != "" {
-				f.cells = append(f.cells, e)
-			}
-			continue // cells do not advance the lifecycle
-		}
-		f.last = e.Event
-		f.errS = e.Error
-		if n := jobIDNum(e.ID); n > c.nextID {
-			c.nextID = n
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return jobIDNum(ids[i]) < jobIDNum(ids[j]) })
+// fleet is the Coordinator's server.Executor: one dispatcher goroutine
+// per job, sharding its seeds across the worker pool.
+type fleet struct{ *Coordinator }
 
-	var resume []*Job
-	for _, id := range ids {
-		f := byID[id]
-		// Cells feed the cache index regardless of the job's fate.
-		for _, ce := range f.cells {
-			if n := c.cache.admit(ce.Key, *ce.Metrics); n > 0 {
-				c.cCacheEvicts.Add(float64(n))
-			}
-		}
-		if f.req == nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s has no submitted event; skipping\n", id)
-			continue
-		}
-		seeds, err := f.req.Normalize()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s no longer validates (%v); skipping\n", id, err)
-			continue
-		}
-		sc, err := f.req.Spec.Scenario()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s spec no longer materializes (%v); skipping\n", id, err)
-			continue
-		}
-		j, err := c.newJob(id, *f.req, seeds, sc.Slots)
-		if err != nil {
-			return nil, err
-		}
-		j.recovered = true
-		switch f.last {
-		case "submitted", "started":
-			c.jobs[id] = j
-			c.order = append(c.order, id)
-			c.cSubmitted.Inc()
-			c.cRecovered.Inc()
-			resume = append(resume, j)
-		case "done", "failed", "cancelled":
-			j.state = server.JobState(f.last)
-			j.errMsg = f.errS
-			// History: rebuild what the cache still serves, then close the
-			// merged stream so followers terminate.
-			for _, seed := range j.Seeds {
-				cl := j.cells[seed]
-				if m, blob, ok := c.cache.get(cl.key); ok {
-					cl.state, cl.metrics, cl.fromCache = cellDone, m, true
-					j.merge.put(seed, blob)
-				}
-			}
-			j.result = c.buildResult(j)
-			j.merge.close()
-			close(j.done)
-			c.jobs[id] = j
-			c.order = append(c.order, id)
-		default:
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s has unknown event %q; skipping\n", id, f.last)
-		}
-	}
-	return resume, nil
-}
-
-// newJob builds a job with one cell per seed, keys precomputed.
-func (c *Coordinator) newJob(id string, req server.JobRequest, seeds []int64, totalSlots int) (*Job, error) {
-	j := &Job{
-		ID:         id,
-		Req:        req,
-		Seeds:      seeds,
-		state:      server.JobQueued,
-		createdAt:  now(),
-		totalSlots: totalSlots,
-		cells:      make(map[int64]*cell, len(seeds)),
-		merge:      newMergeLog(seeds),
-		done:       make(chan struct{}),
-	}
-	for _, s := range seeds {
-		key, err := CellKey(req.Spec, s)
+// NewRun builds a job's cells, keys precomputed.
+func (f fleet) NewRun(sj *server.Job) (server.Run, error) {
+	j := &Job{Job: sj, c: f.Coordinator, cells: make(map[int64]*cell, len(sj.Seeds)), merge: newMergeLog(sj.Seeds)}
+	for _, s := range sj.Seeds {
+		key, err := CellKey(sj.Req.Spec, s)
 		if err != nil {
 			return nil, err
 		}
@@ -412,110 +273,105 @@ func (c *Coordinator) newJob(id string, req server.JobRequest, seeds []int64, to
 	return j, nil
 }
 
-// apiError mirrors the daemon's HTTP error shape; retryAfter > 0 adds a
-// Retry-After header (503 queue-full).
-type apiError struct {
-	code       int
-	msg        string
-	retryAfter int
+// Full bounds the jobs tracked and non-terminal.
+func (f fleet) Full(active int) bool { return active >= f.cfg.QueueDepth }
+
+// Enqueue launches the job's dispatcher.
+func (f fleet) Enqueue(j *server.Job) {
+	f.wg.Add(1)
+	go f.dispatch(j)
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (c *Coordinator) dispatch(j *server.Job) {
+	defer c.wg.Done()
+	c.RunJob(j)
+}
 
-// Submit validates, journals, and launches a job.
-func (c *Coordinator) Submit(req server.JobRequest) (server.JobStatus, error) {
-	seeds, err := req.Normalize()
-	if err != nil {
-		return server.JobStatus{}, &apiError{code: 400, msg: err.Error()}
-	}
-	sc, err := req.Spec.Scenario()
-	if err != nil {
-		return server.JobStatus{}, &apiError{code: 400, msg: err.Error()}
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 503, msg: "coordinator is draining; not accepting jobs"}
-	}
-	active := 0
-	for _, id := range c.order {
-		if !c.jobs[id].state.Terminal() {
-			active++
+// Replay admits a journaled cell into the cache index, whatever its job's
+// fate.
+func (f fleet) Replay(e journalEntry) {
+	if e.Event == "cell" && e.Metrics != nil && e.Key != "" {
+		if n := f.cache.admit(e.Key, *e.Metrics); n > 0 {
+			f.cCacheEvicts.Add(float64(n))
 		}
 	}
-	if active >= c.cfg.QueueDepth {
-		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 503, msg: "job table is full", retryAfter: 1}
-	}
-	c.nextID++
-	id := jobID(c.nextID)
-	j, err := c.newJob(id, req, seeds, sc.Slots)
-	if err != nil {
-		c.mu.Unlock()
-		return server.JobStatus{}, err
-	}
-	if err := c.journal.append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
-		c.mu.Unlock()
-		return server.JobStatus{}, fmt.Errorf("journal: %w", err)
-	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.cSubmitted.Inc()
-	st := c.jobStatus(j)
-	c.mu.Unlock()
-
-	c.startJob(j)
-	return st, nil
 }
 
-// startJob journals the start and launches the job's dispatcher.
-func (c *Coordinator) startJob(j *Job) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if j.Req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(c.runCtx, time.Duration(j.Req.DeadlineMS)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(c.runCtx)
-	}
-	c.mu.Lock()
-	j.state = server.JobRunning
-	j.startedAt = now()
-	j.cancel = cancel
-	err := c.journal.append(journalEntry{Event: "started", ID: j.ID})
-	c.gActive.Set(c.gActive.Value() + 1)
-	c.mu.Unlock()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer cancel()
-		c.runJob(ctx, j)
-	}()
+// Routes adds GET /v1/workers: the pool's health (breaker state,
+// inflight leases) and the cache size.
+func (f fleet) Routes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusOK, map[string]any{
+			"workers":     f.WorkerStatuses(),
+			"cache_cells": f.CacheLen(),
+		})
+	})
 }
 
-// Job returns one job's status.
-func (c *Coordinator) Job(id string) (server.JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return server.JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	return c.jobStatus(j), nil
+// Stop ends the heartbeat loops and waits for them and the dispatchers.
+func (f fleet) Stop() {
+	f.runCancel()
+	f.wg.Wait()
 }
 
-// Jobs returns every job's status in submission order.
-func (c *Coordinator) Jobs() []server.JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]server.JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobStatus(c.jobs[id]))
+// Execute drives the job's cells to a terminal state (or to interruption
+// by ctx).
+func (j *Job) Execute(ctx context.Context) (*server.JobResult, error) {
+	return j.c.runJob(ctx, j)
+}
+
+// Progress renders each cell; the caller holds the coordinator mutex.
+func (j *Job) Progress(st server.JobStatus) []server.SeedStatus {
+	out := make([]server.SeedStatus, 0, len(j.Seeds))
+	for _, seed := range j.Seeds {
+		cl := j.cells[seed]
+		ss := server.SeedStatus{Seed: seed}
+		switch cl.state {
+		case cellDone:
+			ss.State = "done"
+			ss.SlotsDone = int64(st.TotalSlots)
+		case cellFailed:
+			ss.State, ss.Error = "failed", cl.errMsg
+		case cellLeased:
+			ss.State = "running"
+		default:
+			if st.State.Terminal() {
+				ss.State = string(st.State)
+			} else {
+				ss.State = "pending"
+			}
+		}
+		out = append(out, ss)
 	}
 	return out
+}
+
+// Stream writes the merged, seed-ordered stream; a merged stream has no
+// single slot axis, so fromSlot is ignored.
+func (j *Job) Stream(ctx context.Context, w io.Writer, fromSlot int) error {
+	return j.merge.stream(ctx, w)
+}
+
+// Close ends the merged stream.
+func (j *Job) Close() { j.merge.close() }
+
+// Restore rebuilds a terminal job's history from whatever the cache still
+// serves.
+func (j *Job) Restore() *server.JobResult {
+	for _, seed := range j.Seeds {
+		cl := j.cells[seed]
+		if m, blob, ok := j.c.cache.get(cl.key); ok {
+			cl.state, cl.metrics, cl.fromCache = cellDone, m, true
+			j.merge.put(seed, blob)
+		}
+	}
+	return j.c.buildResult(j)
+}
+
+// Stream writes the job's merged, seed-ordered metrics stream into w,
+// following live completions until the job ends or ctx is cancelled.
+func (c *Coordinator) Stream(ctx context.Context, id string, w io.Writer) error {
+	return c.Service.Stream(ctx, id, w, 0)
 }
 
 // WorkerStatuses reports the pool, in registration order.
@@ -529,198 +385,6 @@ func (c *Coordinator) WorkerStatuses() []WorkerStatus {
 
 // CacheLen reports the number of indexed cache cells.
 func (c *Coordinator) CacheLen() int { return c.cache.Len() }
-
-// Registry exposes the serving counters (tests and the Prometheus
-// endpoint).
-func (c *Coordinator) Registry() *metrics.Registry { return c.reg }
-
-// CounterValues snapshots every counter under the coordinator mutex
-// (metrics.Counter itself is not thread-safe), so tests can read them
-// race-free while the dispatcher runs.
-func (c *Coordinator) CounterValues() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reg.CounterValues()
-}
-
-// Cancel stops a running job on behalf of a user DELETE; idempotent on
-// terminal jobs.
-func (c *Coordinator) Cancel(id string) (server.JobStatus, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	if j.state.Terminal() {
-		st := c.jobStatus(j)
-		c.mu.Unlock()
-		return st, nil
-	}
-	j.cancelReason = cancelUser
-	cancel, done := j.cancel, j.done
-	c.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	<-done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !j.state.Terminal() {
-		// The dispatcher already exited without a terminal event — a drain
-		// (or bare interruption) re-queued the job for the next restart. The
-		// user's DELETE must still stick: journal the terminal event and
-		// finalize here, or the job would silently resume after a restart.
-		j.state = server.JobCancelled
-		j.errMsg = "cancelled"
-		j.finishedAt = now()
-		j.result = c.buildResult(j)
-		c.cCancelled.Inc()
-		if err := c.journal.append(journalEntry{Event: "cancelled", ID: j.ID, Error: j.errMsg}); err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
-		}
-	}
-	return c.jobStatus(j), nil
-}
-
-// Stream writes the job's merged, seed-ordered metrics stream into w,
-// following live completions until the job ends or ctx is cancelled.
-func (c *Coordinator) Stream(ctx context.Context, id string, w io.Writer) error {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	return j.merge.stream(ctx, w)
-}
-
-// WriteMetrics renders the coordinator registry in Prometheus text format.
-func (c *Coordinator) WriteMetrics(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return metrics.WritePrometheus(w, c.reg)
-}
-
-// Draining reports whether a drain has begun (the /readyz signal).
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain gracefully stops the coordinator: new submissions get 503 and
-// running jobs are interrupted without a terminal journal event, so a
-// restarted coordinator resumes them — completed cells from the cache,
-// the rest re-dispatched. Running jobs get until ctx is done to finish on
-// their own first.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return errors.New("cluster: already draining")
-	}
-	c.draining = true
-	var running []*Job
-	for _, id := range c.order {
-		if j := c.jobs[id]; !j.state.Terminal() {
-			running = append(running, j)
-		}
-	}
-	c.mu.Unlock()
-
-	for _, j := range running {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-		}
-	}
-
-	c.mu.Lock()
-	var cancels []func()
-	var waits []chan struct{}
-	for _, j := range running {
-		if !j.state.Terminal() {
-			if j.cancelReason == "" {
-				j.cancelReason = cancelDrain
-			}
-			if j.cancel != nil {
-				cancels = append(cancels, j.cancel)
-			}
-			waits = append(waits, j.done)
-		}
-	}
-	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
-	// Each job was just cancelled, so these waits are bounded by the jobs'
-	// own unwinding; cutting them short on ctx expiry would return while
-	// finishJob is still journaling. The ctx bounds the grace period above,
-	// not the teardown.
-	//lint:allow ctxflow -- bounded post-cancel teardown; abandoning it would race the journal
-	for _, d := range waits {
-		<-d
-	}
-
-	c.runCancel()
-	c.wg.Wait()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.journal.Close()
-}
-
-// Close stops the coordinator immediately: Drain with no grace period.
-func (c *Coordinator) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return c.Drain(ctx)
-}
-
-// jobStatus renders a job; the caller holds c.mu.
-func (c *Coordinator) jobStatus(j *Job) server.JobStatus {
-	st := server.JobStatus{
-		ID:         j.ID,
-		State:      j.state,
-		Error:      j.errMsg,
-		Recovered:  j.recovered,
-		Spec:       j.Req.Spec,
-		Seeds:      j.Seeds,
-		DeadlineMS: j.Req.DeadlineMS,
-		TotalSlots: j.totalSlots,
-		Result:     j.result,
-	}
-	if !j.createdAt.IsZero() {
-		st.CreatedAt = j.createdAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.startedAt.IsZero() {
-		st.StartedAt = j.startedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finishedAt.IsZero() {
-		st.FinishedAt = j.finishedAt.UTC().Format(time.RFC3339Nano)
-	}
-	for _, seed := range j.Seeds {
-		cl := j.cells[seed]
-		ss := server.SeedStatus{Seed: seed}
-		switch cl.state {
-		case cellDone:
-			ss.State = "done"
-			ss.SlotsDone = int64(j.totalSlots)
-		case cellFailed:
-			ss.State, ss.Error = "failed", cl.errMsg
-		case cellLeased:
-			ss.State = "running"
-		default:
-			if j.state.Terminal() {
-				ss.State = string(j.state)
-			} else {
-				ss.State = "pending"
-			}
-		}
-		st.Progress = append(st.Progress, ss)
-	}
-	return st
-}
 
 // buildResult folds the job's cells into the daemon-shaped result; the
 // caller holds c.mu (or owns the job exclusively during recovery).

@@ -38,7 +38,7 @@ import (
 func (c *Coordinator) heartbeatLoop(w *worker) {
 	defer c.wg.Done()
 	for {
-		if w.probeDue(now()) {
+		if w.probeDue(server.Now()) {
 			pctx, cancel := context.WithTimeout(c.runCtx, c.cfg.HeartbeatTimeout)
 			err := rpcJSON(pctx, c.hc, http.MethodGet, w.base+"/readyz", nil, http.StatusOK, nil)
 			cancel()
@@ -60,7 +60,7 @@ func (c *Coordinator) heartbeatLoop(w *worker) {
 // workerFailed records a probe/RPC failure against the worker and counts
 // the eviction if this failure tripped the breaker.
 func (c *Coordinator) workerFailed(w *worker, err error) {
-	if w.fail(err, c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, now()) {
+	if w.fail(err, c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, server.Now()) {
 		c.mu.Lock()
 		c.cEvictions.Inc()
 		c.mu.Unlock()
@@ -89,7 +89,7 @@ func (c *Coordinator) workerRPC(ctx context.Context, w *worker, op func(ctx cont
 }
 
 // runJob drives one job to a terminal state (or to interruption by ctx).
-func (c *Coordinator) runJob(ctx context.Context, j *Job) {
+func (c *Coordinator) runJob(ctx context.Context, j *Job) (*server.JobResult, error) {
 	c.resolveFromCache(j)
 	for {
 		if c.stepJob(ctx, j) {
@@ -99,7 +99,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *Job) {
 			break
 		}
 	}
-	c.finishJob(ctx, j)
+	return c.finishJob(ctx, j)
 }
 
 // resolveFromCache completes every cell whose key the content-addressed
@@ -126,7 +126,7 @@ func (c *Coordinator) resolveFromCache(j *Job) {
 			cl.fromCache = true
 			c.cCacheHits.Inc()
 			c.cCellsDone.Inc()
-			if err := c.journal.append(journalEntry{Event: "cell", ID: j.ID, Seed: seed, Key: key, Metrics: &m}); err != nil {
+			if err := c.Journal(journalEntry{Event: "cell", ID: j.ID, Seed: seed, Key: key, Metrics: &m}); err != nil {
 				fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 			}
 			j.merge.put(seed, blob)
@@ -155,7 +155,7 @@ type action struct {
 // terminal. Planning happens under the coordinator mutex; the RPCs and
 // their commits follow outside/under it respectively.
 func (c *Coordinator) stepJob(ctx context.Context, j *Job) bool {
-	t := now()
+	t := server.Now()
 	var acts []action
 
 	c.mu.Lock()
@@ -274,7 +274,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, j *Job, a action) {
 		}
 		return
 	}
-	t := now()
+	t := server.Now()
 	redispatch := a.cl.attempts > 0
 	a.cl.attempts++
 	a.cl.state = cellLeased
@@ -304,12 +304,12 @@ func (c *Coordinator) pollCell(ctx context.Context, j *Job, a action) {
 		if a.cl.state != cellLeased || a.cl.wjob != a.wjob {
 			return
 		}
-		if lost || !a.w.schedulable(now()) {
+		if lost || !a.w.schedulable(server.Now()) {
 			// The worker forgot the job (crash + lost journal) or has been
 			// evicted: stop waiting out the lease and re-queue now.
 			c.requeueLocked(a)
 		} else {
-			a.cl.nextPoll = now().Add(c.cfg.PollInterval)
+			a.cl.nextPoll = server.Now().Add(c.cfg.PollInterval)
 		}
 		return
 	}
@@ -344,10 +344,24 @@ func (c *Coordinator) pollCell(ctx context.Context, j *Job, a action) {
 		}
 		a.cl.errMsg = "worker job cancelled: " + orUnknown(st.Error)
 		c.requeueLocked(a)
+	case server.JobQueued:
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if a.cl.state != cellLeased || a.cl.wjob != a.wjob {
+			return
+		}
+		if st.Error != "" {
+			// The worker's drain sent the job back to its queue; it will
+			// not run again in that worker process: re-dispatch the cell.
+			a.cl.errMsg = st.Error
+			c.requeueLocked(a)
+			return
+		}
+		a.cl.nextPoll = server.Now().Add(c.cfg.PollInterval)
 	default:
 		c.mu.Lock()
 		if a.cl.state == cellLeased && a.cl.wjob == a.wjob {
-			a.cl.nextPoll = now().Add(c.cfg.PollInterval)
+			a.cl.nextPoll = server.Now().Add(c.cfg.PollInterval)
 		}
 		c.mu.Unlock()
 	}
@@ -381,7 +395,7 @@ func (c *Coordinator) collectCell(ctx context.Context, j *Job, a action, st serv
 			// poll retries the collection (or the lease expires onto another
 			// worker).
 			a.cl.errMsg = fmt.Sprintf("fetching stream: %v", err)
-			a.cl.nextPoll = now().Add(c.cfg.PollInterval)
+			a.cl.nextPoll = server.Now().Add(c.cfg.PollInterval)
 		}
 		return
 	}
@@ -403,7 +417,7 @@ func (c *Coordinator) collectCell(ctx context.Context, j *Job, a action, st serv
 	a.cl.metrics = m
 	a.w.addInflight(-1)
 	c.cCellsDone.Inc()
-	if err := c.journal.append(journalEntry{Event: "cell", ID: j.ID, Seed: a.cl.seed, Key: key, Metrics: &m}); err != nil {
+	if err := c.Journal(journalEntry{Event: "cell", ID: j.ID, Seed: a.cl.seed, Key: key, Metrics: &m}); err != nil {
 		fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 	}
 	j.merge.put(a.cl.seed, blob)
@@ -438,10 +452,10 @@ func (c *Coordinator) requeueLocked(a action) {
 	a.w.addInflight(-1)
 }
 
-// finishJob finalizes the job once its loop exits: all-terminal → done or
-// failed; interrupted → cancelled (user), failed (job deadline), or back to
-// queued with no terminal journal event (drain — the recoverable state).
-func (c *Coordinator) finishJob(ctx context.Context, j *Job) {
+// finishJob settles the job's outcome once its loop exits — every cell
+// terminal, or interrupted by ctx (a user cancel, a drain, the job
+// deadline) — and releases its outstanding leases.
+func (c *Coordinator) finishJob(ctx context.Context, j *Job) (*server.JobResult, error) {
 	c.mu.Lock()
 	var leased []action
 	failed, unfinished := 0, 0
@@ -458,50 +472,7 @@ func (c *Coordinator) finishJob(ctx context.Context, j *Job) {
 			}
 		}
 	}
-
-	event := ""
-	switch {
-	case unfinished == 0 && failed == 0:
-		j.state = server.JobDone
-		event = "done"
-		c.cDone.Inc()
-	case unfinished == 0:
-		j.state = server.JobFailed
-		j.errMsg = fmt.Sprintf("%d of %d seeds failed", failed, len(j.Seeds))
-		event = "failed"
-		c.cFailed.Inc()
-	case j.cancelReason == cancelUser:
-		j.state = server.JobCancelled
-		j.errMsg = "cancelled"
-		event = "cancelled"
-		c.cCancelled.Inc()
-	case j.cancelReason == cancelDrain:
-		// No terminal journal event: the last journaled lifecycle event
-		// stays "started", so the next coordinator resumes the job — its
-		// finished cells from the cache, the rest re-dispatched.
-		j.state = server.JobQueued
-		j.errMsg = "interrupted by shutdown drain; will resume on restart"
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		j.state = server.JobFailed
-		j.errMsg = fmt.Sprintf("deadline exceeded with %d of %d seeds unfinished", unfinished, len(j.Seeds))
-		event = "failed"
-		c.cFailed.Inc()
-	default:
-		// Interrupted without a recorded reason (e.g. Close without drain
-		// bookkeeping): stay recoverable, like a drain.
-		j.state = server.JobQueued
-		j.errMsg = "interrupted; will resume on restart"
-	}
-	j.finishedAt = now()
-	if j.state.Terminal() {
-		j.result = c.buildResult(j)
-	}
-	if event != "" {
-		if err := c.journal.append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg}); err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
-		}
-	}
-	c.gActive.Set(c.gActive.Value() - 1)
+	res := c.buildResult(j)
 	c.mu.Unlock()
 
 	// Release outstanding leases best-effort; the worker-side deadline is
@@ -517,8 +488,17 @@ func (c *Coordinator) finishJob(ctx context.Context, j *Job) {
 		cancel()
 		a.w.addInflight(-1)
 	}
-	j.merge.close()
-	close(j.done)
+
+	switch {
+	case unfinished == 0 && failed == 0:
+		return res, nil
+	case unfinished == 0:
+		return res, fmt.Errorf("%d of %d seeds failed", failed, len(j.Seeds))
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return res, fmt.Errorf("deadline exceeded with %d of %d seeds unfinished", unfinished, len(j.Seeds))
+	default:
+		return res, fmt.Errorf("%d of %d seeds unfinished: %w", unfinished, len(j.Seeds), ctx.Err())
+	}
 }
 
 // rpcTimeout bounds single-shot best-effort calls (lease cancels): the

@@ -44,12 +44,15 @@ func TestLoadJournalTornFinalLineTolerated(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	entries, err := loadJournal(path)
+	entries, torn, err := server.LoadJournal(path)
 	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
+		t.Fatalf("LoadJournal: %v", err)
 	}
 	if len(entries) != 2 || entries[1].Event != "started" {
 		t.Fatalf("entries = %+v, want the two complete events", entries)
+	}
+	if torn != 3 {
+		t.Fatalf("torn line = %d, want 3", torn)
 	}
 }
 
@@ -59,7 +62,7 @@ func TestLoadJournalTornMidFileIsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := loadJournal(path); err == nil {
+	if _, _, err := server.LoadJournal(path); err == nil {
 		t.Fatal("a torn line followed by more records loaded without error")
 	}
 }

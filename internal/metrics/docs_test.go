@@ -9,7 +9,8 @@ import (
 
 // TestSlotFieldsDocumented enforces the docs/METRICS.md contract: every
 // slot-record column must appear in the document as `name`, and the
-// document must state the current schema version.
+// document must state the current schema version, in its preamble and in
+// the header table's version row.
 func TestSlotFieldsDocumented(t *testing.T) {
 	data, err := os.ReadFile("../../docs/METRICS.md")
 	if err != nil {
@@ -21,8 +22,13 @@ func TestSlotFieldsDocumented(t *testing.T) {
 			t.Errorf("slot field %q is not documented in docs/METRICS.md", name)
 		}
 	}
-	want := fmt.Sprintf("Schema version: **%d**", SchemaVersion)
-	if !strings.Contains(doc, want) {
-		t.Errorf("docs/METRICS.md does not state %q; update the doc when bumping SchemaVersion", want)
+	for _, want := range []string{
+		fmt.Sprintf("Schema version: **%d**", SchemaVersion),
+		// The header table's version row.
+		fmt.Sprintf("schema version (this document: %d)", SchemaVersion),
+	} {
+		if !strings.Contains(doc, want) {
+			t.Errorf("docs/METRICS.md does not state %q; update the doc when bumping SchemaVersion", want)
+		}
 	}
 }

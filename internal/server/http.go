@@ -25,7 +25,9 @@ func (e *apiError) Error() string { return e.msg }
 // maxRequestBody bounds POST bodies; a job request is a small spec.
 const maxRequestBody = 1 << 20
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the job service's HTTP API, the same for the daemon and
+// the coordinator, so greencellsim -submit and sweep -coord point at
+// either by changing only the URL:
 //
 //	POST   /v1/jobs              submit a job (JobRequest body) → 202 JobStatus
 //	GET    /v1/jobs              list jobs in submission order
@@ -35,7 +37,9 @@ const maxRequestBody = 1 << 20
 //	GET    /healthz              liveness probe (always 200 while serving)
 //	GET    /readyz               readiness probe (503 while draining)
 //	GET    /metrics              Prometheus text exposition
-func (s *Server) Handler() http.Handler {
+//
+// plus the executor's own routes (the coordinator's GET /v1/workers).
+func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -45,12 +49,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.exec.Routes(mux)
 	return mux
 }
 
-// writeJSON renders v with a status code; encoding failures are logged by
+// WriteJSON renders v with a status code; encoding failures are logged by
 // the http server via the returned write error path (nothing to recover).
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
@@ -70,13 +75,13 @@ func writeErr(w http.ResponseWriter, err error) {
 		if ae.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
 		}
-		writeJSON(w, ae.code, map[string]string{"error": ae.msg})
+		WriteJSON(w, ae.code, map[string]string{"error": ae.msg})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
 	if err != nil {
 		writeErr(w, &apiError{code: 400, msg: fmt.Sprintf("reading body: %v", err)})
@@ -99,32 +104,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Job(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	fromSlot := 0
 	if v := r.URL.Query().Get("from_slot"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -136,13 +141,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Headers must precede the first streamed byte; errors after that can
 	// only end the stream early.
-	s.mu.Lock()
-	_, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", r.PathValue("id"))})
-		return
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	if err := s.Stream(r.Context(), r.PathValue("id"), w, fromSlot); err != nil {
@@ -156,28 +154,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is pure liveness: 200 as long as the process serves, even
-// mid-drain — restarting a deliberately draining daemon would defeat the
+// mid-drain — restarting a deliberately draining service would defeat the
 // drain. Readiness (take this instance out of rotation) is /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 503 once draining (stop routing new work
-// here). The pre-replay window is covered one level up — cmd/greencelld
-// serves a bootstrap 503 /readyz until journal replay completes, so a
-// probing coordinator never routes leases at a daemon still recovering.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+// here). The pre-replay window is covered by Serve's bootstrap handler,
+// which answers 503 until journal replay completes, so a probing
+// coordinator never routes leases at a daemon still recovering.
+func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.Draining() {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.WriteMetrics(w); err != nil {
 		return // client went away mid-write

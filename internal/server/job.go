@@ -1,31 +1,32 @@
 package server
 
 // This file holds the job types and the queued→running→done/failed/
-// cancelled state machine. It also owns the server's only wall-clock
-// reads (job lifecycle timestamps) and is on
-// analysis.WallClockAllowedFiles: those timestamps surface exclusively in
-// API responses, never in the metrics stream or any other reproducible
-// artifact.
+// cancelled state machine's vocabulary. It also owns the job service's
+// only wall-clock reads and is on analysis.WallClockAllowedFiles: job
+// lifecycle timestamps (both executors) and the coordinator's lease
+// deadlines and breaker cooldowns, all of which surface only in API
+// responses and operational decisions — never in the metrics stream, the
+// journal, or a cache key.
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"greencell/internal/sim"
 )
 
-// now is the package's single wall-clock read, kept in this allowlisted
-// file; the rest of the package timestamps through it.
-func now() time.Time { return time.Now() }
+// Now is the job service's single wall-clock read, kept in this
+// allowlisted file; the daemon and the coordinator timestamp through it.
+func Now() time.Time { return time.Now() }
 
 // JobState is one node of the job lifecycle:
 //
 //	queued → running → done | failed | cancelled
 //
 // A drain interrupts a running job back to queued (without a terminal
-// journal event), so a restarted daemon re-runs it; determinism makes the
-// re-run equivalent.
+// journal event), so a restarted service re-runs it; determinism makes the
+// re-run equivalent. A queued job — never started, or sent back by a
+// drain — can still be cancelled.
 type JobState string
 
 // Job states.
@@ -107,16 +108,8 @@ func (r *JobRequest) Normalize() ([]int64, error) {
 	return seeds, nil
 }
 
-// seedProgress is one seed's live slot counter, advanced lock-free from
-// the replication's SlotHook and read by status handlers.
-type seedProgress struct {
-	seed      int64
-	slotsDone atomic.Int64
-}
-
-// Job is one submitted experiment. Fields other than the progress atomics
-// and the record log (which has its own lock) are guarded by the server
-// mutex.
+// Job is one submitted experiment. The lifecycle fields are guarded by
+// the service mutex; run is the executor's per-job state.
 type Job struct {
 	ID    string
 	Req   JobRequest
@@ -129,46 +122,27 @@ type Job struct {
 	createdAt  time.Time
 	startedAt  time.Time
 	finishedAt time.Time
-
 	totalSlots int
-	progress   []*seedProgress
-	byTheSeed  map[int64]*seedProgress
 
-	// log is the live metrics stream of the job's first seed; nil only
-	// for jobs recovered in a terminal state (streams are not journaled).
-	log *recordLog
-
+	run    Run
 	result *JobResult
 
-	// cancel aborts the running replications; cancelReason distinguishes
-	// a user DELETE ("user") from a drain interruption ("drain") so only
-	// the former journals a terminal event.
-	cancel       func()
-	cancelReason string
-	// done is closed when the run loop has fully released the job.
+	// cancel aborts the running execution; userCancel marks a user DELETE,
+	// which journals a terminal event, apart from a drain, which does not.
+	cancel     func()
+	userCancel bool
+	// done is closed once the job will not run (again) in this process:
+	// it finished, was cancelled, or a drain sent it back.
 	done chan struct{}
 }
 
-// newJob builds a queued job with live progress slots. totalSlots is the
-// per-seed horizon from the materialized spec.
-func newJob(id string, req JobRequest, seeds []int64, totalSlots int) *Job {
-	j := &Job{
-		ID:         id,
-		Req:        req,
-		Seeds:      seeds,
-		state:      JobQueued,
-		createdAt:  now(),
-		totalSlots: totalSlots,
-		log:        newRecordLog(),
-		byTheSeed:  make(map[int64]*seedProgress, len(seeds)),
-		done:       make(chan struct{}),
+// release closes done once; the caller holds the service mutex.
+func (j *Job) release() {
+	select {
+	case <-j.done:
+	default:
+		close(j.done)
 	}
-	for _, s := range seeds {
-		p := &seedProgress{seed: s}
-		j.progress = append(j.progress, p)
-		j.byTheSeed[s] = p
-	}
-	return j
 }
 
 // JobResult aggregates a finished (or partially finished) job, reusing the
@@ -206,7 +180,7 @@ type JobStatus struct {
 	Result     *JobResult       `json:"result,omitempty"`
 }
 
-// status renders the job; the caller holds the server mutex.
+// status renders the job; the caller holds the service mutex.
 func (j *Job) status() JobStatus {
 	st := JobStatus{
 		ID:         j.ID,
@@ -228,32 +202,6 @@ func (j *Job) status() JobStatus {
 	if !j.finishedAt.IsZero() {
 		st.FinishedAt = j.finishedAt.UTC().Format(time.RFC3339Nano)
 	}
-	failed := make(map[int64]string)
-	if j.result != nil {
-		for i, s := range j.result.FailedSeeds {
-			msg := "failed"
-			if i < len(j.result.Errors) {
-				msg = j.result.Errors[i]
-			}
-			failed[s] = msg
-		}
-	}
-	for _, p := range j.progress {
-		ss := SeedStatus{Seed: p.seed, SlotsDone: p.slotsDone.Load()}
-		if msg, ok := failed[p.seed]; ok {
-			ss.State, ss.Error = "failed", msg
-		} else if j.result != nil || int(ss.SlotsDone) >= j.totalSlots {
-			ss.State = "done"
-		} else if j.state.Terminal() {
-			// Recovered terminal job: no per-seed record survived the
-			// restart, so the seed inherits the job's state.
-			ss.State = string(j.state)
-		} else if ss.SlotsDone > 0 {
-			ss.State = "running"
-		} else {
-			ss.State = "pending"
-		}
-		st.Progress = append(st.Progress, ss)
-	}
+	st.Progress = j.run.Progress(st)
 	return st
 }

@@ -3,15 +3,11 @@ package server
 // Daemon-side journal replay robustness (the coordinator twin lives in
 // internal/cluster/journal_test.go): a journal cut at EVERY byte offset
 // must replay without panicking and re-queue exactly the jobs whose last
-// complete lifecycle event is non-terminal. Plus the /readyz–/healthz
-// split and the queue-full Retry-After backpressure hint.
+// complete lifecycle event is non-terminal.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,79 +88,5 @@ func TestDaemonJournalTruncationEveryByte(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("cut %d: Close: %v", cut, err)
 		}
-	}
-}
-
-// TestReadyzHealthzSplit: liveness stays 200 across a drain while
-// readiness flips to 503 — the signal load balancers and the cluster
-// coordinator's heartbeat key on.
-func TestReadyzHealthzSplit(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatalf("closing %s: %v", path, err)
-		}
-		return resp
-	}
-	if resp := get("/readyz"); resp.StatusCode != 200 {
-		t.Fatalf("readyz before drain: %d", resp.StatusCode)
-	}
-	if resp := get("/healthz"); resp.StatusCode != 200 {
-		t.Fatalf("healthz before drain: %d", resp.StatusCode)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if resp := get("/readyz"); resp.StatusCode != 503 {
-		t.Fatalf("readyz after drain: %d, want 503", resp.StatusCode)
-	}
-	if resp := get("/healthz"); resp.StatusCode != 200 {
-		t.Fatalf("healthz after drain: %d, want 200 (liveness is not readiness)", resp.StatusCode)
-	}
-}
-
-// TestQueueFullRetryAfter: a 503 for a full queue carries the Retry-After
-// hint the shared retry helper stretches its backoff to.
-func TestQueueFullRetryAfter(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Occupy the single worker, then fill the one queue slot.
-	st1, err := s.Submit(JobRequest{Spec: slowSpec(1)})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitState(t, s, st1.ID, func(st JobStatus) bool { return st.State == JobRunning }, "running")
-	if _, err := s.Submit(JobRequest{Spec: tinySpec(2)}); err != nil {
-		t.Fatalf("Submit (queued): %v", err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"spec":{"slots":8,"seed":3}}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatalf("closing body: %v", err)
-	}
-	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") != "1" {
-		t.Fatalf("queue-full: status %d Retry-After %q, want 503 / 1",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }

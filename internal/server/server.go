@@ -1,10 +1,11 @@
-// Package server is the experiment daemon behind cmd/greencelld: an HTTP/
-// JSON job orchestrator over the crash-proof replication machinery of
-// internal/sim. A job is a serializable scenario spec plus a seed list; the
-// server runs jobs from a bounded queue on a worker pool, streams each
-// job's metrics live (the docs/METRICS.md schema, byte-identical to a local
-// run), journals job lifecycles to a JSONL file so a restarted daemon
-// recovers interrupted work, and drains gracefully on SIGTERM.
+// Package server is the job service behind cmd/greencelld and
+// cmd/greencell-coord: an HTTP/JSON job orchestrator over the crash-proof
+// replication machinery of internal/sim. A job is a serializable scenario
+// spec plus a seed list. The Service owns what both binaries share — the
+// job table, the JSONL journal that lets a restarted process recover
+// interrupted work, the HTTP API, the lifecycle metrics, and the graceful
+// drain — and an Executor runs the jobs: Server, here, on a local worker
+// pool; internal/cluster's Coordinator across a fleet of Servers.
 //
 // Determinism is the core contract: a job's result is a pure function of
 // (spec, seeds). The serve-smoke gate exercises it end to end by diffing a
@@ -17,10 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
-	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"greencell/internal/core"
 	"greencell/internal/metrics"
@@ -42,38 +43,29 @@ type Config struct {
 	QueueDepth int
 }
 
-// Server owns the job table, the worker pool, and the journal. Create with
-// New, serve its Handler, and stop with Drain (graceful) or Close.
+// Server is the experiment daemon: the job Service over a local worker
+// pool, streaming each job's metrics live (the docs/METRICS.md schema,
+// byte-identical to a local run). Create with New, serve its Handler, and
+// stop with Drain (graceful) or Close.
 type Server struct {
-	cfg Config
+	*Service
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for GET /v1/jobs
-	nextID int
+	queue chan *Job
+	wg    sync.WaitGroup
 
-	journal  *journal
-	queue    chan *Job
-	draining bool
-
-	// reg holds the serving-level metrics: job lifecycle counters plus the
-	// sim_-prefixed aggregation of every streamed run's counters. Guarded
-	// by mu (the registry itself is not concurrency-safe).
-	reg            *metrics.Registry
-	cSubmitted     *metrics.Counter
-	cDone          *metrics.Counter
-	cFailed        *metrics.Counter
-	cCancelled     *metrics.Counter
-	cRecovered     *metrics.Counter
 	cSeedsComplete *metrics.Counter
 	cSeedsFailed   *metrics.Counter
-	gQueued        *metrics.Gauge
-	gRunning       *metrics.Gauge
+}
 
-	// runCtx cancels every job when the server closes hard.
-	runCtx    context.Context
-	runCancel context.CancelFunc
-	wg        sync.WaitGroup
+var daemonIdentity = Identity{
+	Program:      "greencelld",
+	IDPrefix:     "job-",
+	Metrics:      "greencelld_",
+	QueuedGauge:  "greencelld_jobs_queued",
+	RunningGauge: "greencelld_jobs_running",
+	Draining:     "server is draining; not accepting jobs",
+	Full:         "job queue is full",
+	Requeued:     "interrupted by shutdown drain; will re-run on restart",
 }
 
 // New builds a server, replays the journal (re-queueing every job whose
@@ -85,50 +77,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:       cfg,
-		jobs:      make(map[string]*Job),
-		reg:       metrics.NewRegistry(),
-		runCtx:    ctx,
-		runCancel: cancel,
-	}
-	s.cSubmitted = s.reg.Counter("greencelld_jobs_submitted_total", "jobs", "jobs accepted over the API or recovered from the journal")
-	s.cDone = s.reg.Counter("greencelld_jobs_done_total", "jobs", "jobs finished with every seed successful")
-	s.cFailed = s.reg.Counter("greencelld_jobs_failed_total", "jobs", "jobs finished with at least one failed seed")
-	s.cCancelled = s.reg.Counter("greencelld_jobs_cancelled_total", "jobs", "jobs cancelled by DELETE")
-	s.cRecovered = s.reg.Counter("greencelld_jobs_recovered_total", "jobs", "interrupted jobs re-queued at startup from the journal")
+	s := &Server{}
+	s.Service = NewService(new(sync.Mutex), daemonIdentity, pool{s})
 	s.cSeedsComplete = s.reg.Counter("greencelld_seeds_completed_total", "seeds", "seed replications finished successfully")
 	s.cSeedsFailed = s.reg.Counter("greencelld_seeds_failed_total", "seeds", "seed replications that failed or were interrupted")
-	s.gQueued = s.reg.Gauge("greencelld_jobs_queued", "jobs", "jobs waiting for a worker")
-	s.gRunning = s.reg.Gauge("greencelld_jobs_running", "jobs", "jobs currently executing")
 
-	var recovered []*Job
-	if cfg.JournalPath != "" {
-		var err error
-		recovered, err = s.recover(cfg.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		j, err := openJournal(cfg.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.journal = j
+	recovered, err := s.Open(cfg.JournalPath)
+	if err != nil {
+		return nil, err
 	}
-
 	// Size the queue so recovery can never block on its own channel.
-	depth := cfg.QueueDepth
-	if len(recovered) > depth {
-		depth = len(recovered)
-	}
-	s.queue = make(chan *Job, depth)
+	s.queue = make(chan *Job, max(cfg.QueueDepth, len(recovered)))
 	for _, j := range recovered {
 		s.queue <- j
 	}
-
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -136,261 +98,72 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the journal into the job table: terminal jobs become
-// read-only history (their streams and results were not journaled), and
-// jobs whose last event is "submitted" or "started" are returned for
-// re-queueing — determinism makes the re-run equivalent to the interrupted
-// one.
-func (s *Server) recover(path string) ([]*Job, error) {
-	entries, err := loadJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	type folded struct {
-		req  *JobRequest
-		last string
-	}
-	byID := make(map[string]*folded)
-	var ids []string
-	for _, e := range entries {
-		f := byID[e.ID]
-		if f == nil {
-			f = &folded{}
-			byID[e.ID] = f
-			ids = append(ids, e.ID)
-		}
-		if e.Req != nil {
-			f.req = e.Req
-		}
-		f.last = e.Event
-		if n := jobIDNum(e.ID); n > s.nextID {
-			s.nextID = n
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return jobIDNum(ids[i]) < jobIDNum(ids[j]) })
-
-	var requeue []*Job
-	for _, id := range ids {
-		f := byID[id]
-		if f.req == nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s has no submitted event; skipping\n", id)
-			continue
-		}
-		seeds, err := f.req.Normalize()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s no longer validates (%v); skipping\n", id, err)
-			continue
-		}
-		sc, err := f.req.Spec.Scenario()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s spec no longer materializes (%v); skipping\n", id, err)
-			continue
-		}
-		j := newJob(id, *f.req, seeds, sc.Slots)
-		j.recovered = true
-		switch f.last {
-		case "submitted", "started":
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-			s.cSubmitted.Inc()
-			s.cRecovered.Inc()
-			s.gQueued.Set(s.gQueued.Value() + 1)
-			requeue = append(requeue, j)
-		case "done", "failed", "cancelled":
-			// Historical: keep it listable, but its stream is gone.
-			j.state = JobState(f.last)
-			if err := j.log.Close(); err != nil {
-				return nil, err // unreachable: a fresh log always closes
-			}
-			j.log = nil
-			close(j.done)
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-		default:
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s has unknown event %q; skipping\n", id, f.last)
-		}
-	}
-	return requeue, nil
-}
-
-// Submit validates, journals, and enqueues a job, returning its status.
-func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	seeds, err := req.Normalize()
-	if err != nil {
-		return JobStatus{}, &apiError{code: 400, msg: err.Error()}
-	}
-	sc, err := req.Spec.Scenario()
-	if err != nil {
-		return JobStatus{}, &apiError{code: 400, msg: err.Error()}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return JobStatus{}, &apiError{code: 503, msg: "server is draining; not accepting jobs"}
-	}
-	if len(s.queue) == cap(s.queue) {
-		// Retry-After: the queue drains at job granularity, so a short
-		// client-side pause is the right unit; the submit clients honor it
-		// inside their shared backoff helper.
-		return JobStatus{}, &apiError{code: 503, msg: "job queue is full", retryAfter: 1}
-	}
-	s.nextID++
-	id := jobID(s.nextID)
-	j := newJob(id, req, seeds, sc.Slots)
-	if err := s.journal.append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
-		return JobStatus{}, fmt.Errorf("journal: %w", err)
-	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.cSubmitted.Inc()
-	s.gQueued.Set(s.gQueued.Value() + 1)
-	//lint:allow locksafe -- cannot block: queue capacity was checked above under the same s.mu, and only this path sends
-	s.queue <- j
-	return j.status(), nil
-}
-
-// Job returns one job's status.
-func (s *Server) Job(id string) (JobStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	return j.status(), nil
-}
-
-// Jobs returns every job's status in submission order.
-func (s *Server) Jobs() []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].status())
-	}
-	return out
-}
-
-// Cancel stops a queued or running job on behalf of a user DELETE. It is
-// idempotent: cancelling a terminal job reports its (unchanged) status.
-func (s *Server) Cancel(id string) (JobStatus, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	switch {
-	case j.state.Terminal():
-		st := j.status()
-		s.mu.Unlock()
-		return st, nil
-	case j.state == JobQueued:
-		// Still in the queue; mark it terminal here and let the worker
-		// discard it on dequeue.
-		j.state = JobCancelled
-		j.cancelReason = cancelUser
-		j.errMsg = "cancelled"
-		j.finishedAt = now()
-		err := s.journal.append(journalEntry{Event: "cancelled", ID: id})
-		s.cCancelled.Inc()
-		s.gQueued.Set(s.gQueued.Value() - 1)
-		if j.log != nil {
-			// The stream never started; close it so followers unblock.
-			if cerr := j.log.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		close(j.done)
-		st := j.status()
-		s.mu.Unlock()
-		if err != nil {
-			return st, fmt.Errorf("journal: %w", err)
-		}
-		return st, nil
-	default: // running
-		j.cancelReason = cancelUser
-		cancel, done := j.cancel, j.done
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		<-done // runJob finishes the bookkeeping
-		return s.Job(id)
-	}
-}
-
-// Stream copies the job's metrics stream (header, slot records from
-// fromSlot on, summary) into w, following live output until the job ends
-// or ctx is cancelled.
-func (s *Server) Stream(ctx context.Context, id string, w io.Writer, fromSlot int) error {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var log *recordLog
-	if ok {
-		log = j.log
-	}
-	s.mu.Unlock()
-	if !ok {
-		return &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
-	}
-	if log == nil {
-		return &apiError{code: 410, msg: fmt.Sprintf("job %q predates this daemon instance; its stream was not journaled", id)}
-	}
-	return log.stream(ctx, w, fromSlot)
-}
-
-// cancel reasons: a user DELETE journals a terminal event; a drain does
-// not, leaving the job recoverable by the next daemon instance.
-const (
-	cancelUser  = "user"
-	cancelDrain = "drain"
-)
-
 // worker executes queued jobs until the queue closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		s.mu.Lock()
-		if j.state != JobQueued || s.draining {
-			// Cancelled while queued, or draining: leave it; a drained
-			// queued job stays journaled as submitted and recovers later.
-			s.mu.Unlock()
-			continue
-		}
-		var jobCtx context.Context
-		var cancel context.CancelFunc
-		if j.Req.DeadlineMS > 0 {
-			jobCtx, cancel = context.WithTimeout(s.runCtx, time.Duration(j.Req.DeadlineMS)*time.Millisecond)
-		} else {
-			jobCtx, cancel = context.WithCancel(s.runCtx)
-		}
-		j.state = JobRunning
-		j.startedAt = now()
-		j.cancel = cancel
-		err := s.journal.append(journalEntry{Event: "started", ID: j.ID})
-		s.gQueued.Set(s.gQueued.Value() - 1)
-		s.gRunning.Set(s.gRunning.Value() + 1)
-		s.mu.Unlock()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: %v\n", err)
-		}
-
-		s.runJob(jobCtx, j)
-		cancel()
+		s.RunJob(j)
 	}
 }
 
-// runJob executes every seed of one job, streams the first seed's metrics,
-// aggregates the outcomes, and finalizes the job's state.
-func (s *Server) runJob(ctx context.Context, j *Job) {
+// pool is the Server's Executor: a bounded FIFO queue drained by the
+// worker pool.
+type pool struct{ *Server }
+
+func (p pool) NewRun(j *Job) (Run, error) {
+	r := &localRun{s: p.Server, job: j, log: newRecordLog(), bySeed: make(map[int64]*seedProgress, len(j.Seeds))}
+	for _, seed := range j.Seeds {
+		sp := &seedProgress{seed: seed}
+		r.progress = append(r.progress, sp)
+		r.bySeed[seed] = sp
+	}
+	return r, nil
+}
+
+// Full bounds the queued jobs only; the running ones hold workers.
+func (p pool) Full(int) bool { return len(p.queue) == cap(p.queue) }
+
+// Enqueue cannot block: Submit checked Full under the same mutex, and
+// only Submit sends.
+func (p pool) Enqueue(j *Job) { p.queue <- j }
+
+func (pool) Replay(JournalEntry) {}
+
+func (pool) Routes(*http.ServeMux) {}
+
+func (p pool) Stop() {
+	close(p.queue)
+	p.wg.Wait()
+}
+
+// seedProgress is one seed's live slot counter, advanced lock-free from
+// the replication's SlotHook and read by status handlers.
+type seedProgress struct {
+	seed      int64
+	slotsDone atomic.Int64
+}
+
+// localRun is a daemon job's executor state: per-seed progress and the
+// live metrics stream of its first seed.
+type localRun struct {
+	s        *Server
+	job      *Job
+	progress []*seedProgress
+	bySeed   map[int64]*seedProgress
+	// log is nil only for jobs recovered in a terminal state (streams are
+	// not journaled).
+	log *recordLog
+}
+
+// Execute runs every seed of the job, streams the first seed's metrics,
+// and aggregates the outcomes.
+func (r *localRun) Execute(ctx context.Context) (*JobResult, error) {
+	j := r.job
 	sc, err := j.Req.Spec.Scenario()
 	if err != nil {
 		// Validated at submit; reaching here means the spec layer changed
 		// under us. Fail the job rather than panic.
-		s.finish(j, nil, nil, fmt.Errorf("materializing spec: %w", err))
-		return
+		return nil, fmt.Errorf("materializing spec: %w", err)
 	}
 
 	// The first seed is the streamed one: its run carries a Recorder whose
@@ -400,9 +173,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	streamSeed := j.Seeds[0]
 	header := sc
 	header.Seed = streamSeed
-	rec := sim.NewRecorder(j.log, sim.HeaderFor(header, j.Req.Spec.Label()))
+	rec := sim.NewRecorder(r.log, sim.HeaderFor(header, j.Req.Spec.Label()))
 	prepare := func(seed int64, sc *sim.Scenario) {
-		p := j.byTheSeed[seed]
+		p := r.bySeed[seed]
 		sc.SlotHook = func(sr *core.SlotResult) { p.slotsDone.Add(1) }
 		if seed == streamSeed {
 			rec.Attach(sc, false)
@@ -431,156 +204,71 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	if len(res.FailedSeeds) > 0 {
 		runErr = fmt.Errorf("%d of %d seeds failed: %s", len(res.FailedSeeds), len(j.Seeds), res.Errors[0])
 		if ctx.Err() != nil {
-			runErr = fmt.Errorf("%d of %d seeds interrupted: %v", len(res.FailedSeeds), len(j.Seeds), ctx.Err())
+			runErr = fmt.Errorf("%d of %d seeds interrupted: %w", len(res.FailedSeeds), len(j.Seeds), ctx.Err())
 		}
 	}
-	s.finish(j, res, rec.Registry(), runErr)
+
+	// Count the seeds, and aggregate the streamed seed's run counters
+	// under a sim_ prefix (histogram quantiles do not sum and stay in the
+	// stream summary).
+	r.s.mu.Lock()
+	r.s.cSeedsComplete.Add(float64(len(res.Seeds)))
+	r.s.cSeedsFailed.Add(float64(len(res.FailedSeeds)))
+	rec.Registry().EachCounter(func(name, unit, help string, v float64) {
+		r.s.reg.Counter("sim_"+name, unit, help).Add(v)
+	})
+	r.s.mu.Unlock()
+	return res, runErr
 }
 
-// finish moves a job to its terminal state, journals it (unless the job
-// was interrupted by a drain, which must stay recoverable), updates the
-// server counters, folds the streamed run's counters into the serving
-// registry, and releases cancel waiters.
-func (s *Server) finish(j *Job, res *JobResult, streamReg *metrics.Registry, runErr error) {
-	s.mu.Lock()
-	j.result = res
-	j.finishedAt = now()
-	event := ""
-	switch {
-	case j.cancelReason == cancelDrain:
-		// No terminal journal event: the last journaled event stays
-		// "started", so the next daemon instance re-queues the job.
-		j.state = JobCancelled
-		j.errMsg = "interrupted by shutdown drain; will re-run on restart"
-	case j.cancelReason == cancelUser:
-		j.state = JobCancelled
-		j.errMsg = "cancelled"
-		event = "cancelled"
-		s.cCancelled.Inc()
-	case runErr != nil:
-		j.state = JobFailed
-		j.errMsg = runErr.Error()
-		event = "failed"
-		s.cFailed.Inc()
-	default:
-		j.state = JobDone
-		event = "done"
-		s.cDone.Inc()
-	}
-	if res != nil {
-		s.cSeedsComplete.Add(float64(len(res.Seeds)))
-		s.cSeedsFailed.Add(float64(len(res.FailedSeeds)))
-	}
-	if streamReg != nil {
-		// Aggregate the streamed seed's run counters under a sim_ prefix
-		// (histogram quantiles do not sum and stay in the stream summary).
-		streamReg.EachCounter(func(name, unit, help string, v float64) {
-			s.reg.Counter("sim_"+name, unit, help).Add(v)
-		})
-	}
-	var jerr error
-	if event != "" {
-		jerr = s.journal.append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg})
-	}
-	s.gRunning.Set(s.gRunning.Value() - 1)
-	if j.log != nil {
-		if cerr := j.log.Close(); cerr != nil && jerr == nil {
-			jerr = cerr
-		}
-	}
-	close(j.done)
-	s.mu.Unlock()
-	if jerr != nil {
-		fmt.Fprintf(os.Stderr, "greencelld: journal: %v\n", jerr)
-	}
-}
-
-// WriteMetrics renders the serving registry in Prometheus text format.
-func (s *Server) WriteMetrics(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return metrics.WritePrometheus(w, s.reg)
-}
-
-// Drain gracefully stops the server: new submissions get 503, queued jobs
-// stay journaled for the next instance, and running jobs get until ctx is
-// done to finish before being interrupted (without a terminal journal
-// event, so they also recover on restart). Drain waits for the workers to
-// exit and closes the journal.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return errors.New("server: already draining")
-	}
-	s.draining = true
-	var running []*Job
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.state == JobRunning {
-			running = append(running, j)
-		}
-	}
-	close(s.queue)
-	s.mu.Unlock()
-
-	// Grace period: let running jobs finish on their own.
-	for _, j := range running {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-		}
-	}
-
-	// Interrupt whatever is left, marked as a drain so no terminal event
-	// is journaled and the job recovers on restart.
-	s.mu.Lock()
-	var cancels []func()
-	var waits []chan struct{}
-	for _, j := range running {
-		if !j.state.Terminal() {
-			if j.cancelReason == "" {
-				j.cancelReason = cancelDrain
+func (r *localRun) Progress(st JobStatus) []SeedStatus {
+	failed := make(map[int64]string)
+	if st.Result != nil {
+		for i, s := range st.Result.FailedSeeds {
+			msg := "failed"
+			if i < len(st.Result.Errors) {
+				msg = st.Result.Errors[i]
 			}
-			if j.cancel != nil {
-				cancels = append(cancels, j.cancel)
-			}
-			waits = append(waits, j.done)
+			failed[s] = msg
 		}
 	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	// Each job was just cancelled, so these waits are bounded by the jobs'
-	// own unwinding; cutting them short on ctx expiry would return while
-	// the drain bookkeeping is mid-write. The ctx bounds the grace period
-	// above, not the teardown.
-	//lint:allow ctxflow -- bounded post-cancel teardown; abandoning it would race the journal
-	for _, d := range waits {
-		<-d
-	}
-
-	s.wg.Wait()
-	s.runCancel()
-
-	// Unblock any followers of jobs that never ran (they stay journaled as
-	// submitted and recover on the next start).
-	s.mu.Lock()
-	for _, id := range s.order {
-		if j := s.jobs[id]; !j.state.Terminal() && j.log != nil {
-			if err := j.log.Close(); err != nil {
-				// recordLog.Close never fails; keep the compiler honest.
-				fmt.Fprintf(os.Stderr, "greencelld: closing stream of %s: %v\n", id, err)
-			}
+	out := make([]SeedStatus, 0, len(r.progress))
+	for _, p := range r.progress {
+		ss := SeedStatus{Seed: p.seed, SlotsDone: p.slotsDone.Load()}
+		if msg, ok := failed[p.seed]; ok {
+			ss.State, ss.Error = "failed", msg
+		} else if st.Result != nil || int(ss.SlotsDone) >= st.TotalSlots {
+			ss.State = "done"
+		} else if st.State.Terminal() {
+			// Recovered terminal job: no per-seed record survived the
+			// restart, so the seed inherits the job's state.
+			ss.State = string(st.State)
+		} else if ss.SlotsDone > 0 {
+			ss.State = "running"
+		} else {
+			ss.State = "pending"
 		}
+		out = append(out, ss)
 	}
-	s.mu.Unlock()
-	return s.journal.Close()
+	return out
 }
 
-// Close stops the server immediately: Drain with no grace period.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return s.Drain(ctx)
+func (r *localRun) Stream(ctx context.Context, w io.Writer, fromSlot int) error {
+	if r.log == nil {
+		return &apiError{code: 410, msg: fmt.Sprintf("job %q predates this daemon instance; its stream was not journaled", r.job.ID)}
+	}
+	return r.log.stream(ctx, w, fromSlot)
+}
+
+func (r *localRun) Close() {
+	if r.log != nil {
+		r.log.end()
+	}
+}
+
+// Restore drops the stream: it was not journaled, so a pre-restart job's
+// metrics endpoint answers 410.
+func (r *localRun) Restore() *JobResult {
+	r.log = nil
+	return nil
 }

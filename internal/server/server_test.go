@@ -30,6 +30,9 @@ func slowSpec(seed int64) sim.ScenarioSpec {
 	return sim.ScenarioSpec{Slots: 2000, Seed: seed}
 }
 
+// journalEntry is the journal record as the tests spell it.
+type journalEntry = JournalEntry
+
 // newTestServer builds a journalled server in a temp dir.
 func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
@@ -267,9 +270,9 @@ func TestDrainLeavesRunningJobRecoverable(t *testing.T) {
 		t.Fatal("Submit after drain succeeded")
 	}
 
-	entries, err := loadJournal(journalPath)
+	entries, _, err := LoadJournal(journalPath)
 	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
+		t.Fatalf("LoadJournal: %v", err)
 	}
 	last := ""
 	for _, e := range entries {
@@ -400,7 +403,8 @@ func asAPIError(err error, target **apiError) bool {
 	return false
 }
 
-// TestHTTPAPI exercises the full wire surface against a live handler.
+// TestHTTPAPI exercises the daemon's wire surface against a live handler;
+// the contract it shares with the coordinator is TestHTTPContract's.
 func TestHTTPAPI(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	defer func() {
@@ -422,26 +426,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("invalid spec: status %d body %s", resp.StatusCode, body)
 	}
 
-	// Unknown request field: 400 naming it.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"sped":{}}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	body = readAll(t, resp)
-	if resp.StatusCode != 400 || !strings.Contains(body, "sped") {
-		t.Fatalf("unknown field: status %d body %s", resp.StatusCode, body)
-	}
-
-	// Unknown job: 404.
-	resp, err = http.Get(ts.URL + "/v1/jobs/job-999999")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	if readAll(t, resp); resp.StatusCode != 404 {
-		t.Fatalf("unknown job: status %d", resp.StatusCode)
-	}
-
-	// Valid submission: 202 with a Location header.
+	// Valid submission (its 202 + Location is TestHTTPContract's).
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"spec":{"slots":8,"seed":5}}`))
 	if err != nil {
@@ -451,9 +436,6 @@ func TestHTTPAPI(t *testing.T) {
 	var st JobStatus
 	if err := json.Unmarshal([]byte(readAll(t, resp)), &st); err != nil {
 		t.Fatalf("decoding submit response: %v", err)
-	}
-	if resp.StatusCode != 202 || loc != "/v1/jobs/"+st.ID {
-		t.Fatalf("submit: status %d location %q id %s", resp.StatusCode, loc, st.ID)
 	}
 
 	// Poll over HTTP to done.
@@ -501,14 +483,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("job list lacks %s: %s", st.ID, body)
 	}
 
-	// Health and Prometheus metrics.
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	if body := readAll(t, resp); resp.StatusCode != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
-	}
+	// Prometheus metrics.
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)

@@ -77,17 +77,22 @@ func (l *recordLog) WriteSummary(s metrics.Summary) error {
 	return l.append(-2, s)
 }
 
-// Close implements metrics.RecordWriter: it ends the stream, releasing
-// every follower once it has replayed the remaining lines. Closing twice
-// is harmless (the job teardown path and the Recorder both close).
+// Close implements metrics.RecordWriter; it never fails.
 func (l *recordLog) Close() error {
+	l.end()
+	return nil
+}
+
+// end ends the stream, releasing every follower once it has replayed the
+// remaining lines. Ending twice is harmless (the job teardown path and
+// the Recorder both close).
+func (l *recordLog) end() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
 		close(l.wake)
 	}
-	return nil
 }
 
 // stream replays the log into w from its beginning — skipping slot records
