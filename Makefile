@@ -57,7 +57,7 @@ soak:
 	$(GO) test -race -run='TestFaultSoak|TestFaultEverySite' -v ./internal/sim
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run=^$$ -bench=. -benchmem . ./internal/lp ./internal/sched ./internal/energymgmt
 
 # Benchmark trajectory gate (docs/PERFORMANCE.md): smoke-runs every
 # trajectory benchmark once to prove the harness still parses, validates

@@ -26,7 +26,9 @@
 // optimizes the real objective. Two engines implement identical semantics
 // — the dense full-tableau engine (the default) and a revised simplex
 // holding an explicit basis inverse over sparse columns — and are
-// cross-validated against each other in the test suite.
+// cross-validated against each other in the test suite. The dense engine
+// and presolve run in a workspace held by the Problem (by the
+// PresolveCache for SolveCached) and reused by its later solves.
 //
 // Repeated solves of the same Problem after small edits should go through
 // a WarmSolver instead. It keeps the revised engine (columns, basis, and
@@ -142,7 +144,8 @@ type constraint struct {
 }
 
 // Problem is a linear program under construction. The zero value is not
-// usable; create one with NewProblem.
+// usable; create one with NewProblem. A Problem is not safe for concurrent
+// use: Solve reuses scratch space the Problem holds.
 type Problem struct {
 	sense Sense
 	vars  []variable
@@ -159,6 +162,18 @@ type Problem struct {
 	// path. The journal is consumed (truncated) by the engine it syncs.
 	muts     []mutation
 	mutsFull bool
+
+	// work is reused by every Solve of this Problem. Clone does not copy
+	// it, and it makes concurrent Solve calls on one Problem a data race.
+	work workspace
+}
+
+// workspace is the scratch a cold solve reuses: presolve's reduction and
+// the dense engine's tableau. Both grow to the largest problem solved in
+// them and are cleared, not reallocated, for the next.
+type workspace struct {
+	ps  presolved
+	tab tableau
 }
 
 // mutation is one journaled edit: which kind of mutable field changed and
@@ -364,7 +379,8 @@ func (p *Problem) SolveWith(engine Engine) (*Solution, error) {
 	// Presolve: substitute fixed variables and drop rows that become
 	// empty. The scheduler's sequential-fix loop pins more variables each
 	// round, so this shrinks its LPs substantially.
-	return p.solvePresolved(engine, presolve(p))
+	p.work.ps.build(p)
+	return p.solvePresolved(engine, &p.work)
 }
 
 // validateForSolve checks the problem for structural validity. It returns
@@ -402,20 +418,31 @@ func (p *Problem) validateForSolve() (*Solution, error) {
 	return nil, nil
 }
 
-// solvePresolved runs the engine on the already-presolved problem and maps
-// the reduced solution back to p's variable space.
-func (p *Problem) solvePresolved(engine Engine, ps *presolved) (*Solution, error) {
+// solvePresolved runs the engine on the problem w.ps presolved from p
+// and maps the reduced solution back to p's variable space. The dense
+// engine runs in w.tab.
+func (p *Problem) solvePresolved(engine Engine, w *workspace) (*Solution, error) {
+	ps := &w.ps
 	if ps.infeasible {
 		return &Solution{Status: Infeasible}, nil
 	}
-	if !ps.identity {
-		sol, err := ps.reduced.SolveWith(engine)
-		if err != nil {
-			return nil, err
-		}
-		return ps.expand(p, sol), nil
+	if ps.identity {
+		return p.solveAsIs(engine, &w.tab), nil
 	}
+	// The reduction has no fixed variable and no empty row left, so it is
+	// solved as it stands.
+	sol, err := ps.reduced.validateForSolve()
+	if err != nil {
+		return nil, err
+	}
+	if sol == nil {
+		sol = ps.reduced.solveAsIs(engine, &w.tab)
+	}
+	return ps.expand(p, sol), nil
+}
 
+// solveAsIs runs the engine on p without presolve, the dense engine in tab.
+func (p *Problem) solveAsIs(engine Engine, tab *tableau) *Solution {
 	var (
 		status Status
 		iters  int
@@ -428,10 +455,10 @@ func (p *Problem) solvePresolved(engine Engine, ps *presolved) (*Solution, error
 		iters = e.iters
 		values, duals = e.structuralValues, e.duals
 	} else {
-		t := newTableau(p)
-		status = t.solve()
-		iters = t.iters
-		values, duals = t.structuralValues, t.duals
+		tab.load(p)
+		status = tab.solve()
+		iters = tab.iters
+		values, duals = tab.structuralValues, tab.duals
 	}
 	sol := &Solution{Status: status, Iterations: iters}
 	if status == Optimal {
@@ -447,5 +474,5 @@ func (p *Problem) solvePresolved(engine Engine, ps *presolved) (*Solution, error
 		}
 		sol.Objective = obj
 	}
-	return sol, nil
+	return sol
 }

@@ -28,6 +28,7 @@ func benchSolve(b *testing.B, n, m int) {
 	b.Helper()
 	src := rng.New(1)
 	p := buildDense(src, n, m)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := p.Solve()

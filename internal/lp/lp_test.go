@@ -26,7 +26,7 @@ func TestTwoVariableBasic(t *testing.T) {
 	y := p.AddVar("y", 0, math.Inf(1), 2)
 	p.AddConstraint("c1", LE, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint("c2", LE, 6, Term{x, 1}, Term{y, 3})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-12) > testEps {
 		t.Errorf("objective = %v, want 12", sol.Objective)
@@ -43,7 +43,7 @@ func TestMinimizeWithGE(t *testing.T) {
 	x := p.AddVar("x", 2, math.Inf(1), 2)
 	y := p.AddVar("y", 0, math.Inf(1), 3)
 	p.AddConstraint("demand", GE, 10, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-20) > testEps {
 		t.Errorf("objective = %v, want 20", sol.Objective)
@@ -56,7 +56,7 @@ func TestEqualityConstraint(t *testing.T) {
 	x := p.AddVar("x", 0, 3, 1)
 	y := p.AddVar("y", 0, math.Inf(1), 2)
 	p.AddConstraint("bal", EQ, 5, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-7) > testEps {
 		t.Errorf("objective = %v, want 7", sol.Objective)
@@ -73,7 +73,7 @@ func TestUpperBoundedVariables(t *testing.T) {
 	x := p.AddVar("x", 0, 1.5, 1)
 	y := p.AddVar("y", 0, 2, 1)
 	p.AddConstraint("cap", LE, 3, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-3) > testEps {
 		t.Errorf("objective = %v, want 3", sol.Objective)
@@ -86,7 +86,7 @@ func TestNegativeLowerBound(t *testing.T) {
 	x := p.AddVar("x", -5, math.Inf(1), 1)
 	y := p.AddVar("y", 0, 2, 0)
 	p.AddConstraint("bal", EQ, 0, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)+2) > testEps {
 		t.Errorf("x = %v, want -2", sol.Value(x))
@@ -97,7 +97,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVar("x", 0, 1, 1)
 	p.AddConstraint("low", GE, 5, Term{x, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Infeasible)
 }
 
@@ -107,7 +107,7 @@ func TestInfeasibleEqualPair(t *testing.T) {
 	y := p.AddVar("y", 0, math.Inf(1), 1)
 	p.AddConstraint("a", EQ, 1, Term{x, 1}, Term{y, 1})
 	p.AddConstraint("b", EQ, 3, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Infeasible)
 }
 
@@ -116,7 +116,7 @@ func TestUnbounded(t *testing.T) {
 	p.AddVar("x", 0, math.Inf(1), 1) // unconstrained upward
 	y := p.AddVar("y", 0, math.Inf(1), 0)
 	p.AddConstraint("c", LE, 3, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Unbounded)
 }
 
@@ -124,7 +124,7 @@ func TestNoConstraints(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVar("x", 1, 4, -2) // negative cost: runs to upper bound
 	y := p.AddVar("y", 1, 4, 3)  // positive cost: stays at lower bound
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if sol.Value(x) != 4 || sol.Value(y) != 1 {
 		t.Errorf("solution = (%v,%v), want (4,1)", sol.Value(x), sol.Value(y))
@@ -137,7 +137,7 @@ func TestNoConstraints(t *testing.T) {
 func TestNoConstraintsUnbounded(t *testing.T) {
 	p := NewProblem(Minimize)
 	p.AddVar("x", 0, math.Inf(1), -1)
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Unbounded)
 }
 
@@ -145,7 +145,7 @@ func TestEmptyConstraintConsistent(t *testing.T) {
 	p := NewProblem(Minimize)
 	p.AddVar("x", 0, 1, 1)
 	p.AddConstraint("trivial", LE, 0) // 0 <= 0
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 }
 
@@ -153,7 +153,7 @@ func TestEmptyConstraintInconsistent(t *testing.T) {
 	p := NewProblem(Minimize)
 	p.AddVar("x", 0, 1, 1)
 	p.AddConstraint("impossible", GE, 1) // 0 >= 1
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Infeasible)
 }
 
@@ -162,7 +162,7 @@ func TestPinnedVariable(t *testing.T) {
 	x := p.AddVar("x", 2, 2, 5) // pinned to 2
 	y := p.AddVar("y", 0, math.Inf(1), 1)
 	p.AddConstraint("c", GE, 6, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)-2) > testEps || math.Abs(sol.Value(y)-4) > testEps {
 		t.Errorf("solution = (%v,%v), want (2,4)", sol.Value(x), sol.Value(y))
@@ -173,7 +173,7 @@ func TestDuplicateTermsAreSummed(t *testing.T) {
 	p := NewProblem(Maximize)
 	x := p.AddVar("x", 0, math.Inf(1), 1)
 	p.AddConstraint("c", LE, 6, Term{x, 1}, Term{x, 2}) // 3x <= 6
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)-2) > testEps {
 		t.Errorf("x = %v, want 2", sol.Value(x))
@@ -188,7 +188,7 @@ func TestRedundantEqualities(t *testing.T) {
 	p.AddConstraint("a", EQ, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint("b", EQ, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint("c", EQ, 8, Term{x, 2}, Term{y, 2})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-4) > testEps {
 		t.Errorf("objective = %v, want 4", sol.Objective)
@@ -206,7 +206,7 @@ func TestBealeCycling(t *testing.T) {
 	p.AddConstraint("r1", LE, 0, Term{x1, 0.25}, Term{x2, -60}, Term{x3, -0.04}, Term{x4, 9})
 	p.AddConstraint("r2", LE, 0, Term{x1, 0.5}, Term{x2, -90}, Term{x3, -0.02}, Term{x4, 3})
 	p.AddConstraint("r3", LE, 1, Term{x3, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
 		t.Errorf("objective = %v, want -0.05", sol.Objective)
@@ -222,7 +222,7 @@ func TestKleeMinty3(t *testing.T) {
 	p.AddConstraint("c1", LE, 1, Term{x1, 1})
 	p.AddConstraint("c2", LE, 100, Term{x1, 20}, Term{x2, 1})
 	p.AddConstraint("c3", LE, 10000, Term{x1, 200}, Term{x2, 20}, Term{x3, 1})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Objective-10000) > 1e-4 {
 		t.Errorf("objective = %v, want 10000", sol.Objective)
@@ -238,13 +238,13 @@ func TestMaximizeSenseSignHandling(t *testing.T) {
 		return p, x
 	}
 	pmin, xmin := build(Minimize)
-	sol, err := pmin.Solve()
+	sol, err := solveCertified(t, pmin)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(xmin)-1) > testEps {
 		t.Errorf("minimize: x = %v, want 1", sol.Value(xmin))
 	}
 	pmax, xmax := build(Maximize)
-	sol, err = pmax.Solve()
+	sol, err = solveCertified(t, pmax)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(xmax)-4) > testEps {
 		t.Errorf("maximize: x = %v, want 4", sol.Value(xmax))
@@ -258,12 +258,12 @@ func TestCloneIndependence(t *testing.T) {
 	q := p.Clone()
 	q.SetVarBounds(x, 5, 10)
 
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)-2) > testEps {
 		t.Errorf("original x = %v, want 2", sol.Value(x))
 	}
-	sol, err = q.Solve()
+	sol, err = solveCertified(t, q)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)-5) > testEps {
 		t.Errorf("clone x = %v, want 5", sol.Value(x))
@@ -274,7 +274,7 @@ func TestBadVariableReference(t *testing.T) {
 	p := NewProblem(Minimize)
 	p.AddVar("x", 0, 1, 1)
 	p.AddConstraint("c", LE, 1, Term{VarID(7), 1})
-	if _, err := p.Solve(); err == nil {
+	if _, err := solveCertified(t, p); err == nil {
 		t.Fatal("expected error for unknown variable reference")
 	}
 }
@@ -283,7 +283,7 @@ func TestNaNCoefficientRejected(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVar("x", 0, 1, 1)
 	p.AddConstraint("c", LE, 1, Term{x, math.NaN()})
-	if _, err := p.Solve(); err == nil {
+	if _, err := solveCertified(t, p); err == nil {
 		t.Fatal("expected error for NaN coefficient")
 	}
 }
@@ -375,7 +375,7 @@ func TestRandomFeasibleLPs(t *testing.T) {
 			sense = Maximize
 		}
 		p, x0, ids := feasibleRandomLP(src, n, m, sense)
-		sol, err := p.Solve()
+		sol, err := solveCertified(t, p)
 		if err != nil {
 			t.Fatalf("trial %d: error %v", trial, err)
 		}
@@ -444,9 +444,9 @@ func TestStrongDuality(t *testing.T) {
 			dual.AddConstraint("col", LE, c[j], terms...)
 		}
 
-		psol, err := primal.Solve()
+		psol, err := solveCertified(t, primal)
 		requireStatus(t, psol, err, Optimal)
-		dsol, err := dual.Solve()
+		dsol, err := solveCertified(t, dual)
 		requireStatus(t, dsol, err, Optimal)
 		if math.Abs(psol.Objective-dsol.Objective) > 1e-5*(1+math.Abs(psol.Objective)) {
 			t.Fatalf("trial %d: duality gap: primal %v dual %v", trial, psol.Objective, dsol.Objective)
@@ -485,7 +485,7 @@ func TestAgainstVertexEnumeration(t *testing.T) {
 			rhs[i] = src.Uniform(0, 3)
 			p.AddConstraint("row", LE, rhs[i], terms...)
 		}
-		sol, err := p.Solve()
+		sol, err := solveCertified(t, p)
 		requireStatus(t, sol, err, Optimal)
 		checkFeasible(t, p, sol)
 
@@ -620,7 +620,7 @@ func TestBadlyScaledRows(t *testing.T) {
 	y := p.AddVar("y", 0, 1, 9e6)
 	// Tiny-coefficient row: 1e-12 x + 1e-12 y <= 1.5e-12, i.e. x + y <= 1.5.
 	p.AddConstraint("tiny", LE, 1.5e-12, Term{x, 1e-12}, Term{y, 1e-12})
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if sol.Value(x)+sol.Value(y) > 1.5+1e-6 {
 		t.Fatalf("tiny-coefficient constraint ignored: x+y = %v", sol.Value(x)+sol.Value(y))
@@ -635,7 +635,7 @@ func TestHugeCoefficientRows(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVar("x", 0, math.Inf(1), 1)
 	p.AddConstraint("huge", GE, 3e9, Term{x, 1e9}) // x >= 3
-	sol, err := p.Solve()
+	sol, err := solveCertified(t, p)
 	requireStatus(t, sol, err, Optimal)
 	if math.Abs(sol.Value(x)-3) > 1e-6 {
 		t.Errorf("x = %v, want 3", sol.Value(x))

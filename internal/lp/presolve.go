@@ -5,7 +5,8 @@ import "math"
 // presolveEps is the width under which a variable counts as fixed.
 const presolveEps = 1e-12
 
-// presolved carries a reduced problem plus the mappings to undo it.
+// presolved carries a reduced problem plus the mappings to undo it. Its
+// buffers, the reduced problem included, are reused by each build.
 type presolved struct {
 	reduced *Problem
 	// varMap[j] is the reduced index of original variable j, or -1 when
@@ -16,23 +17,26 @@ type presolved struct {
 	// rowMap[i] is the reduced index of original row i, or -1 when the row
 	// became empty and was dropped (its dual is 0).
 	rowMap []int
+	// terms backs the reduced rows' term lists.
+	terms []Term
 	// infeasible is set when a dropped row's residual was inconsistent.
 	infeasible bool
 	// identity is set when nothing was reduced (solve the original).
 	identity bool
 }
 
-// presolve substitutes fixed variables (lo == hi) out of the problem and
-// drops rows that become empty, checking their consistency. These are the
-// only transformations applied: they shrink the sequential-fix scheduler's
-// LPs (which pin more variables each round) while leaving every remaining
-// row's dual multiplier unchanged, so dual recovery needs no adjustment.
-func presolve(p *Problem) *presolved {
-	ps := &presolved{
-		varMap:   make([]int, len(p.vars)),
-		fixedVal: make([]float64, len(p.vars)),
-		rowMap:   make([]int, len(p.cons)),
-	}
+// build presolves p into ps: it substitutes fixed variables (lo == hi)
+// out of the problem and drops rows that become empty, checking their
+// consistency. These are the only transformations applied: they shrink
+// the sequential-fix scheduler's LPs (which pin more variables each round)
+// while leaving every remaining row's dual multiplier unchanged, so dual
+// recovery needs no adjustment. The reduced problem has no fixed variable
+// and no empty row left.
+func (ps *presolved) build(p *Problem) {
+	ps.varMap = reuse(ps.varMap, len(p.vars))
+	ps.fixedVal = reuse(ps.fixedVal, len(p.vars))
+	ps.rowMap = reuse(ps.rowMap, len(p.cons))
+	ps.infeasible, ps.identity = false, false
 	nFixed := 0
 	for j, v := range p.vars {
 		if v.hi-v.lo <= presolveEps {
@@ -43,29 +47,40 @@ func presolve(p *Problem) *presolved {
 	}
 	if nFixed == 0 {
 		ps.identity = true
-		return ps
+		return
 	}
 
-	red := NewProblem(p.sense)
+	if ps.reduced == nil {
+		ps.reduced = new(Problem)
+	}
+	red := ps.reduced
+	red.sense = p.sense
 	red.maxIters = p.maxIters // the solve budget applies to the reduced solve
+	red.vars = red.vars[:0]
+	red.cons = red.cons[:0]
 	for j, v := range p.vars {
 		if ps.varMap[j] == -1 {
 			continue
 		}
-		ps.varMap[j] = int(red.AddVar(v.name, v.lo, v.hi, v.cost))
+		ps.varMap[j] = len(red.vars)
+		red.vars = append(red.vars, v)
 	}
+	nterms := 0
+	for _, c := range p.cons {
+		nterms += len(c.terms)
+	}
+	ps.terms = reuse(ps.terms, nterms)[:0]
 	for i, c := range p.cons {
-		//lint:allow hotalloc -- not scratch: AddConstraint retains the slice in the reduced problem
-		terms := make([]Term, 0, len(c.terms))
+		start := len(ps.terms)
 		rhs := c.rhs
 		for _, t := range c.terms {
 			if rj := ps.varMap[t.Var]; rj >= 0 {
-				terms = append(terms, Term{Var: VarID(rj), Coef: t.Coef})
+				ps.terms = append(ps.terms, Term{Var: VarID(rj), Coef: t.Coef})
 			} else {
 				rhs -= t.Coef * ps.fixedVal[t.Var]
 			}
 		}
-		if len(terms) == 0 {
+		if len(ps.terms) == start {
 			// Row fully substituted: verify it holds.
 			const tol = 1e-7
 			ok := true
@@ -79,16 +94,14 @@ func presolve(p *Problem) *presolved {
 			}
 			if !ok {
 				ps.infeasible = true
-				return ps
+				return
 			}
 			ps.rowMap[i] = -1
 			continue
 		}
-		ps.rowMap[i] = red.NumConstraints()
-		red.AddConstraint(c.name, c.rel, rhs, terms...)
+		ps.rowMap[i] = len(red.cons)
+		red.cons = append(red.cons, constraint{name: c.name, rel: c.rel, rhs: rhs, terms: ps.terms[start:len(ps.terms):len(ps.terms)]})
 	}
-	ps.reduced = red
-	return ps
 }
 
 // expand maps a reduced solution back onto the original problem.

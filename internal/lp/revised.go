@@ -218,7 +218,7 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 	return e, rhs, slackOf
 }
 
-// newRevised mirrors newTableau's setup: equality form, equilibrated rows,
+// newRevised mirrors tableau.load's setup: equality form, equilibrated rows,
 // slacks, artificials, initial basis. Columns are built directly in sparse
 // form — no dense staging matrix — with the same per-row arithmetic order
 // as the dense construction, so the two produce bit-identical engines.

@@ -21,8 +21,11 @@ import "math"
 // concurrent use.
 type PresolveCache struct {
 	sig   uint64
-	ps    *presolved
 	valid bool
+	// work holds the cached reduction (work.ps) and the dense engine's
+	// tableau, reused across the cached solves, each of which may be of
+	// a freshly built Problem.
+	work workspace
 }
 
 // presolveSignature hashes everything presolve's structural decisions
@@ -118,16 +121,14 @@ func (p *Problem) SolveCached(c *PresolveCache) (*Solution, error) {
 	}
 	sig := p.presolveSignature()
 	if c.valid && c.sig == sig {
-		if !c.ps.refresh(p) {
+		if !c.work.ps.refresh(p) {
 			return &Solution{Status: Infeasible}, nil
 		}
-		return p.solvePresolved(TableauEngine, c.ps)
+		return p.solvePresolved(TableauEngine, &c.work)
 	}
-	ps := presolve(p)
-	if !ps.infeasible {
-		// Infeasible reductions stop early with partial mappings; cache
-		// only complete analyses.
-		c.sig, c.ps, c.valid = sig, ps, true
-	}
-	return p.solvePresolved(TableauEngine, ps)
+	c.work.ps.build(p)
+	// Infeasible reductions stop early with partial mappings; cache only
+	// complete analyses.
+	c.sig, c.valid = sig, !c.work.ps.infeasible
+	return p.solvePresolved(TableauEngine, &c.work)
 }

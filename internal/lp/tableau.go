@@ -20,17 +20,27 @@ const (
 
 // tableau is the dense simplex working state. Columns are ordered:
 // structural variables, then slacks/surpluses, then artificials.
+//
+// A tableau is a reusable workspace: load re-initializes it for a problem
+// and grows its buffers only when that problem is larger than every one it
+// held before, so repeated solves allocate nothing here. It lives in the
+// object that outlives the solves — the Problem for Solve, the
+// PresolveCache for SolveCached — and the slices of a returned Solution
+// never alias it.
 type tableau struct {
 	m    int // rows
 	n    int // structural variables
 	ncol int // total columns
 
-	// T is the current dictionary B^{-1}A, row-major (m rows of ncol).
-	T [][]float64
+	// flat is the current dictionary B^{-1}A, row-major: m rows of ncol
+	// (see row).
+	flat []float64
 	// d is the current reduced-cost row for the active phase objective.
 	d []float64
 	// cost is the phase-2 objective (sense-adjusted to minimize).
 	cost []float64
+	// phase1 is the phase-1 objective: 1 on each artificial column.
+	phase1 []float64
 
 	lo, hi []float64
 	status []colStatus
@@ -59,11 +69,36 @@ type tableau struct {
 	rowMult  []float64
 	dualCol  []int
 	dualCoef []float64
+
+	// slackOf[i] is row i's slack column (-1 for equality rows).
+	slackOf []int
+	// dense is load's one-row scratch over the structural columns.
+	dense []float64
+	// nz lists the nonzero columns of the current pivot row.
+	nz []int32
 }
 
-// newTableau converts p into equality standard form with slacks and
-// artificials and installs an initial basic feasible point for phase 1.
-func newTableau(p *Problem) *tableau {
+// reuse returns s resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func reuse[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// load converts p into equality standard form with slacks and artificials
+// and installs an initial basic feasible point for phase 1, reusing t's
+// buffers.
+//
+// Set-up takes two passes over the rows. The first equilibrates each row
+// in a one-row scratch and picks its initial basic column, which fixes
+// how many artificial columns there are; the second writes the rows into
+// the dictionary at exactly that width, repeating the first pass's
+// arithmetic so every entry has the same bits.
+func (t *tableau) load(p *Problem) {
 	m := len(p.cons)
 	n := len(p.vars)
 
@@ -78,27 +113,20 @@ func newTableau(p *Problem) *tableau {
 	// simply never created.
 	maxCols := n + nslack + m
 
-	t := &tableau{
-		m:      m,
-		n:      n,
-		limit:  p.maxIters,
-		T:      make([][]float64, m),
-		lo:     make([]float64, 0, maxCols),
-		hi:     make([]float64, 0, maxCols),
-		status: make([]colStatus, 0, maxCols),
-		xval:   make([]float64, 0, maxCols),
-		cost:   make([]float64, 0, maxCols),
-		basis:  make([]int, m),
-		xB:     make([]float64, m),
-
-		rowMult:  make([]float64, m),
-		dualCol:  make([]int, m),
-		dualCoef: make([]float64, m),
-	}
-	for i := range t.rowMult {
-		t.rowMult[i] = 1
-		t.dualCol[i] = -1
-	}
+	t.m, t.n, t.iters, t.limit = m, n, 0, p.maxIters
+	t.lo = reuse(t.lo, maxCols)[:0]
+	t.hi = reuse(t.hi, maxCols)[:0]
+	t.status = reuse(t.status, maxCols)[:0]
+	t.xval = reuse(t.xval, maxCols)[:0]
+	t.cost = reuse(t.cost, maxCols)[:0]
+	t.nz = reuse(t.nz, maxCols)[:0]
+	t.basis = reuse(t.basis, m)
+	t.xB = reuse(t.xB, m)
+	t.rowMult = reuse(t.rowMult, m)
+	t.dualCol = reuse(t.dualCol, m)
+	t.dualCoef = reuse(t.dualCoef, m)
+	t.slackOf = reuse(t.slackOf, m)
+	t.dense = reuse(t.dense, n)
 
 	sign := 1.0
 	if p.sense == Maximize {
@@ -111,29 +139,43 @@ func newTableau(p *Problem) *tableau {
 		}
 		t.addCol(lo, hi, sign*v.cost)
 	}
-
-	// Dense rows, slack columns, RHS.
-	rhs := make([]float64, m)
-	for i := range t.T {
-		t.T[i] = make([]float64, maxCols)
-	}
 	for i, c := range p.cons {
-		row := t.T[i]
+		t.slackOf[i] = -1
+		if c.rel != EQ {
+			t.slackOf[i] = t.addCol(0, math.Inf(1), 0)
+		}
+	}
+	t.artStart = len(t.status)
+
+	// Pass 1. Initial point: every column nonbasic at its lower bound.
+	// Residual r_i = rhs_i - A_i . x  determines the initial basic column.
+	// When every structural lower bound is zero, each term of A_i . x is a
+	// signed zero, which leaves a nonzero rhs_i unchanged bit for bit; the
+	// residual scan then runs only for rows whose rhs_i is zero or whose
+	// entries overflowed.
+	zeroLo := true
+	for _, x := range t.xval {
+		if x != 0 {
+			zeroLo = false
+			break
+		}
+	}
+	row := t.dense
+	for i, c := range p.cons {
+		t.rowMult[i] = 1
 		for _, term := range c.terms {
 			row[term.Var] += term.Coef
 		}
-		rhs[i] = c.rhs
-	}
-	// Row equilibration: scale each row so its largest structural
-	// coefficient has magnitude 1. Row scaling leaves the primal solution
-	// unchanged and keeps badly-scaled models (e.g. SINR rows mixing
-	// ~1e-12 gains with ~1e7 objective weights) inside the pivot
-	// tolerances. Done before slack insertion so slack columns keep ±1.
-	for i := range p.cons {
-		row := t.T[i]
+		rhs := c.rhs
+		// Row equilibration: scale each row so its largest structural
+		// coefficient has magnitude 1. Row scaling leaves the primal
+		// solution unchanged and keeps badly-scaled models (e.g. SINR rows
+		// mixing ~1e-12 gains with ~1e7 objective weights) inside the
+		// pivot tolerances. Slack columns keep ±1. The largest entry is
+		// sought over the row's terms, which cover every nonzero column.
 		maxAbs := 0.0
-		for j := 0; j < n; j++ {
-			if a := math.Abs(row[j]); a > maxAbs {
+		for _, term := range c.terms {
+			if a := math.Abs(row[term.Var]); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -144,48 +186,28 @@ func newTableau(p *Problem) *tableau {
 					row[j] *= inv
 				}
 			}
-			rhs[i] *= inv
+			rhs *= inv
 			t.rowMult[i] *= inv
 		}
-	}
-	slackOf := make([]int, m)
-	for i := range slackOf {
-		slackOf[i] = -1
-	}
-	for i, c := range p.cons {
-		switch c.rel {
-		case LE:
-			j := t.addCol(0, math.Inf(1), 0)
-			t.T[i][j] = 1
-			slackOf[i] = j
-		case GE:
-			j := t.addCol(0, math.Inf(1), 0)
-			t.T[i][j] = -1
-			slackOf[i] = j
-		}
-		if slackOf[i] >= 0 {
-			t.dualCol[i] = slackOf[i]
-		}
-	}
-
-	// Initial point: every column nonbasic at its lower bound.
-	// Residual r_i = rhs_i - A_i . x  determines the initial basic column.
-	t.artStart = len(t.status)
-	for i := range p.cons {
-		r := rhs[i]
-		for j := 0; j < t.artStart; j++ {
-			if t.T[i][j] != 0 {
-				r -= t.T[i][j] * t.xval[j]
+		r := rhs
+		if !zeroLo || r == 0 || math.IsInf(maxAbs, 1) {
+			for j := 0; j < n; j++ {
+				if row[j] != 0 {
+					r -= row[j] * t.xval[j]
+				}
 			}
 		}
-		if s := slackOf[i]; s >= 0 {
+		for _, term := range c.terms {
+			row[term.Var] = 0
+		}
+		if s := t.slackOf[i]; s >= 0 {
+			t.dualCol[i] = s
+			coef := slackCoef(c.rel)
+			r -= coef * t.xval[s]
 			// Slack value that would balance the row.
-			sv := r / t.T[i][s] // coefficient is ±1
-			if sv >= 0 {
+			if sv := r / coef; sv >= 0 {
 				// Normalize the row so the basic (slack) column has +1.
-				if t.T[i][s] < 0 {
-					scaleRow(t.T[i], -1)
-					rhs[i] = -rhs[i]
+				if coef < 0 {
 					t.rowMult[i] = -t.rowMult[i]
 				}
 				t.makeBasic(s, i, sv)
@@ -194,34 +216,63 @@ func newTableau(p *Problem) *tableau {
 		}
 		// Need an artificial. Flip the row so the residual is >= 0.
 		if r < 0 {
-			scaleRow(t.T[i], -1)
-			rhs[i] = -rhs[i]
 			r = -r
 			t.rowMult[i] = -t.rowMult[i]
 		}
 		j := t.addCol(0, math.Inf(1), 0)
-		t.T[i][j] = 1
 		t.makeBasic(j, i, r)
-		if t.dualCol[i] < 0 {
+		if t.slackOf[i] < 0 {
 			t.dualCol[i] = j // equality rows expose duals via the artificial
 		}
 	}
 	t.ncol = len(t.status)
 	t.nart = t.ncol - t.artStart
-	// Record the setup-matrix entry of each row's dual column; reduced
-	// costs are taken against the ORIGINAL columns, so this is read now,
-	// before any pivoting.
-	for i := 0; i < m; i++ {
-		if j := t.dualCol[i]; j >= 0 {
-			t.dualCoef[i] = t.T[i][j]
+
+	// Pass 2: the dictionary rows. rowMult holds each row's equilibration
+	// factor (exactly 1 when the row was not scaled) times -1 when the row
+	// was flipped.
+	t.flat = reuse(t.flat, m*t.ncol)
+	for i, c := range p.cons {
+		row := t.row(i)
+		for _, term := range c.terms {
+			row[term.Var] += term.Coef
 		}
+		mult := t.rowMult[i]
+		if inv := math.Abs(mult); inv != 1 {
+			for j := 0; j < n; j++ {
+				if row[j] != 0 {
+					row[j] *= inv
+				}
+			}
+		}
+		if s := t.slackOf[i]; s >= 0 {
+			row[s] = slackCoef(c.rel)
+		}
+		if mult < 0 {
+			scaleRow(row[:t.artStart], -1)
+		}
+		if j := t.basis[i]; j >= t.artStart {
+			row[j] = 1
+		}
+		// Reduced costs are taken against the ORIGINAL columns, so the
+		// dual column's set-up entry is read now, before any pivoting.
+		t.dualCoef[i] = row[t.dualCol[i]]
 	}
-	// Trim rows to the realized column count.
-	for i := range t.T {
-		t.T[i] = t.T[i][:t.ncol]
+	t.d = reuse(t.d, t.ncol)
+}
+
+// slackCoef is the slack column's entry in a row of relation rel: +1 for
+// a slack, -1 for a surplus.
+func slackCoef(rel Rel) float64 {
+	if rel == GE {
+		return -1
 	}
-	t.d = make([]float64, t.ncol)
-	return t
+	return 1
+}
+
+// row returns row i of the dictionary.
+func (t *tableau) row(i int) []float64 {
+	return t.flat[i*t.ncol : (i+1)*t.ncol]
 }
 
 func (t *tableau) addCol(lo, hi, cost float64) int {
@@ -266,11 +317,11 @@ func (t *tableau) solve() Status {
 
 	if t.nart > 0 {
 		// Phase 1: minimize the sum of artificials.
-		phase1 := make([]float64, t.ncol)
+		t.phase1 = reuse(t.phase1, t.ncol)
 		for j := t.artStart; j < t.ncol; j++ {
-			phase1[j] = 1
+			t.phase1[j] = 1
 		}
-		t.computeReducedCosts(phase1)
+		t.computeReducedCosts(t.phase1)
 		st := t.iterate()
 		if st != Optimal {
 			// Phase-1 objective is bounded below by zero, so Unbounded
@@ -327,7 +378,7 @@ func (t *tableau) driveOutArtificials() {
 			if t.status[j] == basic {
 				continue
 			}
-			if math.Abs(t.T[i][j]) > 1e-7 {
+			if math.Abs(t.row(i)[j]) > 1e-7 {
 				t.pivot(i, j, t.xval[j])
 				break
 			}
@@ -343,7 +394,7 @@ func (t *tableau) computeReducedCosts(cost []float64) {
 		if cb == 0 {
 			continue
 		}
-		row := t.T[i]
+		row := t.row(i)
 		for j := 0; j < t.ncol; j++ {
 			if row[j] != 0 {
 				t.d[j] -= cb * row[j]
@@ -388,7 +439,7 @@ func (t *tableau) iterate() Status {
 		leave := -1           // row index of leaving variable
 		leaveToUpper := false // which bound the leaving variable hits
 		for i := 0; i < t.m; i++ {
-			a := sigma * t.T[i][q]
+			a := sigma * t.row(i)[q]
 			if a > pivTol {
 				// Basic value decreases toward its lower bound.
 				b := t.basis[i]
@@ -432,8 +483,8 @@ func (t *tableau) iterate() Status {
 			// Bound flip: q runs from one bound to the other.
 			delta := limit
 			for i := 0; i < t.m; i++ {
-				if t.T[i][q] != 0 {
-					t.xB[i] -= sigma * delta * t.T[i][q]
+				if a := t.row(i)[q]; a != 0 {
+					t.xB[i] -= sigma * delta * a
 				}
 			}
 			if t.status[q] == atLower {
@@ -451,8 +502,8 @@ func (t *tableau) iterate() Status {
 		enterVal := t.xval[q] + sigma*delta
 		leaveVar := t.basis[leave]
 		for i := 0; i < t.m; i++ {
-			if i != leave && t.T[i][q] != 0 {
-				t.xB[i] -= sigma * delta * t.T[i][q]
+			if a := t.row(i)[q]; i != leave && a != 0 {
+				t.xB[i] -= sigma * delta * a
 			}
 		}
 		if leaveToUpper {
@@ -477,7 +528,7 @@ func (t *tableau) betterLeaving(cur, cand, q int, bland bool) bool {
 	if bland {
 		return t.basis[cand] < t.basis[cur]
 	}
-	return math.Abs(t.T[cand][q]) > math.Abs(t.T[cur][q])
+	return math.Abs(t.row(cand)[q]) > math.Abs(t.row(cur)[q])
 }
 
 // chooseEntering returns an improving nonbasic column, or -1 at optimality.
@@ -510,38 +561,42 @@ func (t *tableau) chooseEntering(bland bool) int {
 }
 
 // pivot makes column q basic in row r with value enterVal, eliminating q
-// from all other rows and from the reduced-cost row.
+// from all other rows and from the reduced-cost row. The scaled pivot
+// row's nonzero columns are listed once, and the elimination visits only
+// those: the same updates, in the same order, as a sweep of every column
+// that skips the pivot row's zeros.
 func (t *tableau) pivot(r, q int, enterVal float64) {
-	prow := t.T[r]
+	prow := t.row(r)
 	piv := prow[q]
 	inv := 1.0 / piv
-	for k := 0; k < t.ncol; k++ {
+	nz := t.nz[:0]
+	for k := range prow {
 		if prow[k] != 0 {
 			prow[k] *= inv
 		}
+		if prow[k] != 0 || k == q {
+			nz = append(nz, int32(k))
+		}
 	}
+	t.nz = nz
 	prow[q] = 1 // kill roundoff
 	for i := 0; i < t.m; i++ {
 		if i == r {
 			continue
 		}
-		f := t.T[i][q]
+		row := t.row(i)
+		f := row[q]
 		if f == 0 {
 			continue
 		}
-		row := t.T[i]
-		for k := 0; k < t.ncol; k++ {
-			if prow[k] != 0 {
-				row[k] -= f * prow[k]
-			}
+		for _, k := range nz {
+			row[k] -= f * prow[k]
 		}
 		row[q] = 0
 	}
 	if f := t.d[q]; f != 0 {
-		for k := 0; k < t.ncol; k++ {
-			if prow[k] != 0 {
-				t.d[k] -= f * prow[k]
-			}
+		for _, k := range nz {
+			t.d[k] -= f * prow[k]
 		}
 		t.d[q] = 0
 	}

@@ -30,6 +30,7 @@ func benchRequest(b *testing.B) *Request {
 func benchScheduler(b *testing.B, s Scheduler) {
 	b.Helper()
 	req := benchRequest(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Schedule(req); err != nil {
