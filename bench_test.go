@@ -19,15 +19,12 @@ import (
 )
 
 // benchScenario is the paper scenario at a horizon that keeps a single
-// benchmark iteration in the tens-of-milliseconds range. Warm-started LP
-// solving is on — these benchmarks track the performance of the fast path
-// (docs/PERFORMANCE.md); BenchmarkWarmStartSlots keeps the cold/warm
-// comparison honest.
+// benchmark iteration in the tens-of-milliseconds range, on the default
+// solver path every run takes.
 func benchScenario() greencell.Scenario {
 	sc := greencell.PaperScenario()
 	sc.Slots = 40
 	sc.KeepTraces = true
-	sc.WarmStartLP = true
 	return sc
 }
 
@@ -113,45 +110,31 @@ func BenchmarkFig2eEnergyBufferUsers(b *testing.B) {
 	b.ReportMetric(final, "final-buffer-Wh")
 }
 
-// BenchmarkWarmStartSlots compares the cold and warm LP paths on the same
-// slot sequence (the paper scenario driven by SequentialFix + S4). Besides
-// ns/op it reports the LP work per slot — solves, simplex iterations, and
-// for the warm path the warm-start/invalidation counts — which is what
-// BENCH_*.json tracks across PRs (docs/PERFORMANCE.md).
-func BenchmarkWarmStartSlots(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"cold", false}, {"warm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var iters, solves, warmed, invalidated, slots int
-			for i := 0; i < b.N; i++ {
-				sc := benchScenario()
-				sc.KeepTraces = false
-				sc.WarmStartLP = mode.warm
-				sc.Instrument = true
-				sc.SlotHook = func(sr *core.SlotResult) {
-					slots++
-					if st := sr.Stages; st != nil {
-						solves += st.SchedLPSolves + st.S4LPSolves
-						iters += st.SchedLPIterations + st.S4LPIterations
-						warmed += st.LPWarmStarts
-						invalidated += st.LPBasisInvalidations
-					}
-				}
-				if _, err := greencell.Run(sc); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkSlotLPWork runs the paper scenario (SequentialFix S1 plus S4)
+// and, besides ns/op, reports the LP work per slot — solves and simplex
+// iterations across S1 and S4 — which is what BENCH_*.json tracks across
+// PRs (docs/PERFORMANCE.md). The work counts are exact, so a change in
+// them means the solver took a different path.
+func BenchmarkSlotLPWork(b *testing.B) {
+	var iters, solves, slots int
+	for i := 0; i < b.N; i++ {
+		sc := benchScenario()
+		sc.KeepTraces = false
+		sc.Instrument = true
+		sc.SlotHook = func(sr *core.SlotResult) {
+			slots++
+			if st := sr.Stages; st != nil {
+				solves += st.SchedLPSolves + st.S4LPSolves
+				iters += st.SchedLPIterations + st.S4LPIterations
 			}
-			if slots > 0 {
-				b.ReportMetric(float64(iters)/float64(slots), "lp-iters/slot")
-				b.ReportMetric(float64(solves)/float64(slots), "lp-solves/slot")
-				if mode.warm {
-					b.ReportMetric(float64(warmed)/float64(slots), "warm-starts/slot")
-					b.ReportMetric(float64(invalidated)/float64(slots), "invalidations/slot")
-				}
-			}
-		})
+		}
+		if _, err := greencell.Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if slots > 0 {
+		b.ReportMetric(float64(iters)/float64(slots), "lp-iters/slot")
+		b.ReportMetric(float64(solves)/float64(slots), "lp-solves/slot")
 	}
 }
 

@@ -1,8 +1,8 @@
-// Command benchtrend runs the repository's Fig. 2 benchmarks, the
-// warm-start slot benchmark, and the lint-suite benchmark, and maintains
-// the PR-over-PR performance trajectory file (BENCH_<n>.json). Each trajectory point is a labeled
-// snapshot of every benchmark's ns/op, B/op, allocs/op, and custom
-// metrics (gap-V1e5, lp-iters/slot, ...); points are ordered oldest to
+// Command benchtrend runs the repository's Fig. 2 benchmarks, the per-slot
+// LP-work benchmark, and the lint-suite benchmark, and maintains the
+// PR-over-PR performance trajectory file (BENCH_<n>.json). Each trajectory
+// point is a labeled snapshot of every benchmark's ns/op, B/op, allocs/op,
+// and custom metrics (gap-V1e5, lp-iters/slot, ...); points are ordered oldest to
 // newest, so diffing adjacent points shows what a PR did to performance.
 //
 // Modes:
@@ -64,7 +64,7 @@ type Trajectory struct {
 
 func main() {
 	out := flag.String("out", "BENCH_9.json", "trajectory file to validate or update")
-	bench := flag.String("bench", "Fig2|WarmStartSlots|LintRepo", "benchmark name regex passed to go test -bench")
+	bench := flag.String("bench", "Fig2|SlotLPWork|LintRepo", "benchmark name regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value (forced to 1x by -check)")
 	label := flag.String("label", "", "record the measurements as a trajectory point with this label (replaces an existing point with the same label)")
 	note := flag.String("note", "", "free-form note stored alongside -label's point")

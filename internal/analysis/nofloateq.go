@@ -9,7 +9,7 @@ import (
 
 // NoFloatEq reports == and != between floating-point operands. Exact float
 // equality is almost always a bug in this codebase: the LP pivot logic
-// (internal/lp/revised.go, tableau.go) is tolerance-based throughout, and a
+// (internal/lp/tableau.go) is tolerance-based throughout, and a
 // raw comparison silently turns a numerical question into a bit-pattern
 // question. Two comparisons are exempt:
 //

@@ -79,14 +79,6 @@ type Config struct {
 	// Off by default: no clock reads or extra allocations happen on the
 	// control path when disabled.
 	Instrument bool
-	// WarmStartLP, when set, carries LP warm-start state across Step
-	// calls: S1 reuses the sequential-fix relaxation's basis between fix
-	// rounds and slots, and S4 keeps its inner programs alive so the
-	// golden-section budget probes re-solve by dual simplex
-	// (docs/PERFORMANCE.md). Off by default — the warm path may settle on
-	// a different vertex of a degenerate optimum, so the golden-pinned
-	// fixture runs cold.
-	WarmStartLP bool
 	// Env overrides how the per-slot random state is drawn (nil = the
 	// default stochastic environment). Tests and the offline-optimum
 	// comparison inject fixed realizations here.
@@ -256,9 +248,9 @@ type StageBreakdown struct {
 	SchedLPSolves, SchedLPIterations int
 	// S4LPSolves / S4LPIterations are the energy-management LP work.
 	S4LPSolves, S4LPIterations int
-	// LPWarmStarts / LPBasisInvalidations aggregate the S1+S4 warm-start
-	// counters (zero unless Config.WarmStartLP); they feed the
-	// lp_warm_starts_total and lp_basis_invalidations_total metrics.
+	// LPWarmStarts / LPBasisInvalidations are always 0: every LP is solved
+	// from scratch. They are kept so code that reads them, such as the
+	// perfbench module, still builds.
 	LPWarmStarts, LPBasisInvalidations int
 	// SchedObjective is Ψ̂1 = Σ_l H_l·c_l achieved by the S1 assignment.
 	SchedObjective float64
@@ -291,12 +283,6 @@ func (d *DriftAudit) Holds() bool {
 type Controller struct {
 	cfg   Config
 	sched sched.Scheduler
-
-	// warmSched / warmS4 carry LP bases across slots when
-	// Config.WarmStartLP is set; both stay nil otherwise, which keeps the
-	// solvers on their cold, golden-pinned paths.
-	warmSched *sched.WarmState
-	warmS4    *energymgmt.WarmState
 
 	// q[s][i] is Q_i^s(t); the destination's entry stays zero.
 	q [][]queueing.Queue
@@ -355,10 +341,6 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{cfg: cfg, sched: cfg.Scheduler}
 	if c.sched == nil {
 		c.sched = sched.SequentialFix{}
-	}
-	if cfg.WarmStartLP {
-		c.warmSched = &sched.WarmState{}
-		c.warmS4 = &energymgmt.WarmState{}
 	}
 
 	net := cfg.Net
@@ -687,7 +669,6 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			Weights:         weights,
 			TxPowerCap:      txCap,
 			MaxLPIterations: c.cfg.Budget.MaxLPIterations,
-			Warm:            c.warmSched,
 		})
 	}
 	if errS1 != nil {
@@ -726,8 +707,6 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 		mark = now
 		st.SchedLPSolves = asg.Stats.LPSolves
 		st.SchedLPIterations = asg.Stats.LPIterations
-		st.LPWarmStarts += asg.Stats.WarmStarts
-		st.LPBasisInvalidations += asg.Stats.BasisInvalidations
 		st.SchedObjective = asg.Objective(weights)
 	}
 
@@ -982,7 +961,6 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 		V:               c.cfg.V,
 		Cost:            c.cfg.Cost,
 		MaxLPIterations: c.cfg.Budget.MaxLPIterations,
-		Warm:            c.warmS4,
 	}
 	var dec4 *energymgmt.Decision
 	var errS4 error
@@ -1034,8 +1012,6 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 		st.S4NS = time.Since(mark).Nanoseconds()
 		st.S4LPSolves = dec4.LPSolves
 		st.S4LPIterations = dec4.LPIterations
-		st.LPWarmStarts += dec4.WarmStarts
-		st.LPBasisInvalidations += dec4.BasisInvalidations
 	}
 	if audit != nil {
 		after := c.snapshot()

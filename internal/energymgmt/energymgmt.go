@@ -97,12 +97,6 @@ type Decision struct {
 	// metrics layer (docs/METRICS.md).
 	LPSolves     int
 	LPIterations int
-	// WarmStarts / BasisInvalidations count warm-started inner solves and
-	// reused bases discarded for a cold rebuild. Both stay zero unless the
-	// request carried a WarmState; they feed the lp_warm_starts_total and
-	// lp_basis_invalidations_total metrics (docs/METRICS.md).
-	WarmStarts         int
-	BasisInvalidations int
 }
 
 // Request is one slot's energy-management problem.
@@ -121,12 +115,6 @@ type Request struct {
 	// controller falls back to the greedy safe-action energy split
 	// (docs/ROBUSTNESS.md).
 	MaxLPIterations int
-	// Warm, when non-nil, carries LP warm-start state across Solve calls
-	// (docs/PERFORMANCE.md): the per-node and joint base-station programs
-	// stay alive with their factorized bases, are refreshed in place each
-	// slot, and the golden-section budget probes re-solve by dual simplex
-	// instead of from scratch. nil keeps the cold, golden-pinned path.
-	Warm *WarmState
 }
 
 // ErrRequest reports an invalid request.
@@ -185,11 +173,7 @@ func Solve(req *Request) (*Decision, error) {
 		}
 	}
 
-	if req.Warm != nil {
-		if err := req.Warm.solveInto(req, dec, bs, pen, pMax.Wh()); err != nil {
-			return nil, err
-		}
-	} else if err := solveCold(req, dec, bs, pen, pMax); err != nil {
+	if err := solveLPs(req, dec, bs, pen, pMax); err != nil {
 		return nil, err
 	}
 
@@ -263,13 +247,12 @@ func SafeDecision(req *Request) *Decision {
 	return dec
 }
 
-// solveCold runs the one-shot S4 path: independent per-node LPs plus the
+// solveLPs runs the S4 inner programs: independent per-node LPs plus the
 // golden-section search over the base-station draw budget, each inner
 // problem built fresh. Two per-call presolve caches absorb the reduction
 // rebuild across the probes — lp.PresolveCache is bit-identical to a fresh
-// presolve by construction, which is what keeps this path safe under the
-// golden metrics fixture.
-func solveCold(req *Request, dec *Decision, bs []int, pen float64, pMax units.Energy) error {
+// presolve by construction, so the cache changes no result.
+func solveLPs(req *Request, dec *Decision, bs []int, pen float64, pMax units.Energy) error {
 	var nodeCache, bsCache lp.PresolveCache
 
 	// Non-base-station nodes: independent LPs (their grid is outside f).
@@ -325,8 +308,7 @@ type nodeVars struct{ r, cr, g, cg, d, u lp.VarID }
 // the total-grid-draw budget row appended last (when budgeted is true and
 // budget is finite). The row layout is fixed: four constraints per node in
 // nodes order — renew, chargecap, gridcap, demand — so row 4k+j addresses
-// node k's j-th constraint; the warm path relies on this to refresh
-// right-hand sides in place.
+// node k's j-th constraint.
 func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool) (*lp.Problem, map[int]nodeVars) {
 	p := lp.NewProblem(lp.Minimize)
 	p.SetIterationLimit(req.MaxLPIterations)

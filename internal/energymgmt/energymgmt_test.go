@@ -1,6 +1,7 @@
 package energymgmt
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -368,4 +369,22 @@ func TestMarginalPrice(t *testing.T) {
 	if math.Abs((dec.MarginalPriceWh - want).PerWh()) > 1e-9 {
 		t.Errorf("MarginalPriceWh = %v, want %v", dec.MarginalPriceWh, want)
 	}
+}
+
+// TestIterationLimitSemantics checks the solve budget: a one-iteration
+// budget surfaces as the typed ErrIterationLimit, and the same request
+// without a budget solves to a feasible decision.
+func TestIterationLimitSemantics(t *testing.T) {
+	src := rng.New(642)
+	req := randomRequest(src, 6)
+	req.MaxLPIterations = 1
+	if _, err := Solve(req); !errors.Is(err, ErrIterationLimit) {
+		t.Fatalf("limited solve: got %v, want ErrIterationLimit", err)
+	}
+	req.MaxLPIterations = 0
+	dec, err := Solve(req)
+	if err != nil {
+		t.Fatalf("unbudgeted solve: %v", err)
+	}
+	checkFeasible(t, req, dec)
 }

@@ -25,41 +25,38 @@ func budgetProblem() *Problem {
 }
 
 func TestIterationBudget(t *testing.T) {
-	for _, eng := range []Engine{TableauEngine, RevisedEngine} {
-		p := budgetProblem()
-		free, err := p.SolveWith(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if free.Status != Optimal {
-			t.Fatalf("engine %v: unbudgeted solve status %v", eng, free.Status)
-		}
-		if free.Iterations < 2 {
-			t.Fatalf("engine %v: test problem too easy (%d iterations)", eng, free.Iterations)
-		}
+	p := budgetProblem()
+	free, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.Status != Optimal {
+		t.Fatalf("unbudgeted solve status %v", free.Status)
+	}
+	if free.Iterations < 2 {
+		t.Fatalf("test problem too easy (%d iterations)", free.Iterations)
+	}
 
-		p.SetIterationLimit(1)
-		sol, err := p.SolveWith(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != IterationLimit {
-			t.Errorf("engine %v: limit 1 gave status %v, want iteration-limit", eng, sol.Status)
-		}
-		if sol.Iterations > 1 {
-			t.Errorf("engine %v: spent %d iterations under a budget of 1", eng, sol.Iterations)
-		}
+	p.SetIterationLimit(1)
+	sol, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != IterationLimit {
+		t.Errorf("limit 1 gave status %v, want iteration-limit", sol.Status)
+	}
+	if sol.Iterations > 1 {
+		t.Errorf("spent %d iterations under a budget of 1", sol.Iterations)
+	}
 
-		// A budget at least as large as the free solve must not bite.
-		p.SetIterationLimit(free.Iterations)
-		sol, err = p.SolveWith(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Optimal {
-			t.Errorf("engine %v: budget %d gave status %v, want optimal",
-				eng, free.Iterations, sol.Status)
-		}
+	// A budget at least as large as the free solve must not bite.
+	p.SetIterationLimit(free.Iterations)
+	sol, err = p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Errorf("budget %d gave status %v, want optimal", free.Iterations, sol.Status)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package lp implements a two-phase, bounded-variable simplex solver for
-// linear programs, with warm-started re-solves over a persistent basis.
+// linear programs.
 //
 // It exists because the paper's per-slot subproblems (the S1 sequential-
 // fix scheduling heuristic, its exact branch-and-bound counterpart, the
 // relaxed lower-bound problem P3̄, and the inner programs of the S4 energy
 // management in internal/energymgmt) all reduce to small/medium LPs that
 // the original authors solved with CPLEX; this package is the
-// from-scratch, stdlib-only substitute. Solution.Iterations exposes each
-// solve's simplex work to the metrics layer (docs/METRICS.md).
+// from-scratch, stdlib-only substitute. Each slot builds and solves its
+// programs afresh, so no solver state is carried from one solve to the
+// next. Solution.Iterations exposes each solve's simplex work to the
+// metrics layer (docs/METRICS.md).
 //
 // Scope and guarantees:
 //   - Variables have a finite lower bound and a finite or +Inf upper bound.
@@ -18,36 +20,17 @@
 //     guards against cycling.
 //   - Status is one of Optimal, Infeasible, Unbounded, or IterationLimit.
 //
-// # Solve flow and basis lifecycle
+// # Solve flow
 //
-// A one-shot Solve runs presolve (fixed-variable substitution, empty-row
-// elimination) and then the two-phase primal simplex: phase 1 drives
-// artificial variables out of the basis to find a feasible point, phase 2
-// optimizes the real objective. Two engines implement identical semantics
-// — the dense full-tableau engine (the default) and a revised simplex
-// holding an explicit basis inverse over sparse columns — and are
-// cross-validated against each other in the test suite. The dense engine
-// and presolve run in a workspace held by the Problem (by the
-// PresolveCache for SolveCached) and reused by its later solves.
-//
-// Repeated solves of the same Problem after small edits should go through
-// a WarmSolver instead. It keeps the revised engine (columns, basis, and
-// factorized basis inverse) alive between Solve calls and classifies each
-// re-solve by what the edit preserved:
-//
-//   - bounds, costs, and right-hand sides unchanged enough that the old
-//     basis is still primal feasible → phase-2 primal simplex finishes in
-//     a few pivots (often zero);
-//   - RHS or bound changes only (costs intact) → the old basis stays DUAL
-//     feasible, and the dual simplex restores primal feasibility without
-//     ever re-running phase 1;
-//   - anything else → cold fallback, counted as a basis invalidation.
-//
-// The basis itself can outlive the solver: ExportBasis snapshots the
-// final column statuses, ImportBasis seeds a WarmSolver for a different
-// Problem instance with the same structure (checked by signature), and
-// the engine revalidates the snapshot by refactorizing before trusting
-// it. docs/PERFORMANCE.md documents the reuse and invalidation rules.
+// Solve runs presolve (fixed-variable substitution, empty-row
+// elimination) and then the two-phase primal simplex on a dense full
+// tableau: phase 1 drives artificial variables out of the basis to find a
+// feasible point, phase 2 optimizes the real objective. The tableau and
+// presolve run in a workspace held by the Problem (by the PresolveCache
+// for SolveCached) and reused by its later solves, so repeated solves
+// allocate only their Solution. The test suite checks every optimum with
+// an optimality certificate and small problems against brute-force vertex
+// enumeration. docs/PERFORMANCE.md documents the engine's cost model.
 package lp
 
 import (
@@ -151,62 +134,20 @@ type Problem struct {
 	vars  []variable
 	cons  []constraint
 	// maxIters caps the total simplex iterations of a solve (both phases);
-	// 0 means the engines' built-in safety cap only. See SetIterationLimit.
+	// 0 means the engine's built-in safety cap only. See SetIterationLimit.
 	maxIters int
-
-	// muts journals bound/cost/RHS edits since the last warm-engine sync,
-	// letting WarmSolver refreshes update only what changed instead of
-	// rescanning every column and recomputing the basic values from
-	// scratch (docs/PERFORMANCE.md). Structural edits and journal overflow
-	// set mutsFull, which sends the next refresh down the full rescan
-	// path. The journal is consumed (truncated) by the engine it syncs.
-	muts     []mutation
-	mutsFull bool
 
 	// work is reused by every Solve of this Problem. Clone does not copy
 	// it, and it makes concurrent Solve calls on one Problem a data race.
 	work workspace
 }
 
-// workspace is the scratch a cold solve reuses: presolve's reduction and
-// the dense engine's tableau. Both grow to the largest problem solved in
-// them and are cleared, not reallocated, for the next.
+// workspace is the scratch a solve reuses: presolve's reduction and the
+// tableau. Both grow to the largest problem solved in them and are
+// cleared, not reallocated, for the next.
 type workspace struct {
 	ps  presolved
 	tab tableau
-}
-
-// mutation is one journaled edit: which kind of mutable field changed and
-// its index (a VarID for bounds/costs, a constraint index for RHS). The
-// new value is not recorded — the consumer rereads the problem, which
-// makes replaying duplicates idempotent.
-type mutation struct {
-	kind mutKind
-	idx  int32
-}
-
-type mutKind uint8
-
-const (
-	mutBound mutKind = iota
-	mutCost
-	mutRHS
-)
-
-// maxJournal bounds the edit journal: past this many pending edits a full
-// refresh rescan is cheaper than replaying them one by one.
-const maxJournal = 512
-
-func (p *Problem) journal(k mutKind, idx int) {
-	if p.mutsFull {
-		return
-	}
-	if len(p.muts) >= maxJournal {
-		p.mutsFull = true
-		p.muts = p.muts[:0]
-		return
-	}
-	p.muts = append(p.muts, mutation{kind: k, idx: int32(idx)})
 }
 
 // NewProblem returns an empty problem with the given objective sense.
@@ -218,8 +159,6 @@ func NewProblem(sense Sense) *Problem {
 // cost, returning its identifier. hi may be math.Inf(1); lo must be finite.
 func (p *Problem) AddVar(name string, lo, hi, cost float64) VarID {
 	p.vars = append(p.vars, variable{name: name, lo: lo, hi: hi, cost: cost})
-	p.mutsFull = true // structural edit: no incremental refresh across it
-	p.muts = p.muts[:0]
 	return VarID(len(p.vars) - 1)
 }
 
@@ -236,13 +175,12 @@ func (p *Problem) NumConstraints() int { return len(p.cons) }
 func (p *Problem) SetVarBounds(v VarID, lo, hi float64) {
 	p.vars[v].lo = lo
 	p.vars[v].hi = hi
-	p.journal(mutBound, int(v))
 }
 
 // SetIterationLimit caps the total simplex iterations (pivots and bound
 // flips, both phases) a Solve may spend; a solve that exhausts the budget
 // reports Status IterationLimit. n <= 0 restores the default behavior: the
-// engines' built-in anti-cycling safety cap only. The limit is a solve
+// engine's built-in anti-cycling safety cap only. The limit is a solve
 // budget for callers with per-slot deadlines (docs/ROBUSTNESS.md), so it
 // survives Clone and presolve reduction.
 func (p *Problem) SetIterationLimit(n int) {
@@ -258,18 +196,12 @@ func (p *Problem) IterationLimit() int { return p.maxIters }
 // SetVarCost replaces the objective coefficient of v.
 func (p *Problem) SetVarCost(v VarID, cost float64) {
 	p.vars[v].cost = cost
-	p.journal(mutCost, int(v))
 }
 
 // SetConstraintRHS replaces the right-hand side of constraint i (in the
-// order constraints were added). It panics if i is out of range. Together
-// with SetVarBounds this is the mutation vocabulary of warm-started
-// re-solves: RHS and bound edits preserve dual feasibility of the previous
-// basis, so a WarmSolver can continue with dual simplex instead of
-// re-running phase 1.
+// order constraints were added). It panics if i is out of range.
 func (p *Problem) SetConstraintRHS(i int, rhs float64) {
 	p.cons[i].rhs = rhs
-	p.journal(mutRHS, i)
 }
 
 // ConstraintRHS returns the current right-hand side of constraint i.
@@ -287,8 +219,6 @@ func (p *Problem) VarBounds(v VarID) (lo, hi float64) {
 // terms are summed. Rows with no terms are allowed and checked for
 // consistency at solve time.
 func (p *Problem) AddConstraint(name string, rel Rel, rhs float64, terms ...Term) {
-	p.mutsFull = true // structural edit: no incremental refresh across it
-	p.muts = p.muts[:0]
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, terms: cp})
@@ -311,7 +241,7 @@ type Solution struct {
 	Status    Status
 	Objective float64
 	// Iterations is the total number of simplex iterations (pivots and
-	// bound flips, phases 1 and 2) the engine spent on this solve — the
+	// bound flips, phases 1 and 2) spent on this solve — the
 	// work measure surfaced by the metrics layer (docs/METRICS.md).
 	Iterations int
 
@@ -350,28 +280,10 @@ func (s *Solution) Values() []float64 {
 	return out
 }
 
-// Engine selects a simplex implementation.
-type Engine int
-
-// Available engines.
-const (
-	// TableauEngine is the dense full-tableau simplex (the default):
-	// simple, O(m·n) per pivot.
-	TableauEngine Engine = iota
-	// RevisedEngine maintains an explicit basis inverse over sparse
-	// columns: O(nnz) pricing + O(m²) updates, faster when n ≫ m.
-	RevisedEngine
-)
-
-// Solve optimizes with the default engine. An error is returned only for
-// structurally invalid input; solver outcomes (infeasible, unbounded,
-// iteration limit) are reported via Solution.Status.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(TableauEngine) }
-
-// SolveWith optimizes the problem with the chosen engine. Both engines
-// implement identical bounded-variable simplex semantics and are
-// cross-validated in the test suite.
-func (p *Problem) SolveWith(engine Engine) (*Solution, error) {
+// Solve optimizes the problem. An error is returned only for structurally
+// invalid input; solver outcomes (infeasible, unbounded, iteration limit)
+// are reported via Solution.Status.
+func (p *Problem) Solve() (*Solution, error) {
 	if sol, err := p.validateForSolve(); sol != nil || err != nil {
 		return sol, err
 	}
@@ -380,7 +292,7 @@ func (p *Problem) SolveWith(engine Engine) (*Solution, error) {
 	// empty. The scheduler's sequential-fix loop pins more variables each
 	// round, so this shrinks its LPs substantially.
 	p.work.ps.build(p)
-	return p.solvePresolved(engine, &p.work)
+	return p.solvePresolved(&p.work)
 }
 
 // validateForSolve checks the problem for structural validity. It returns
@@ -418,16 +330,15 @@ func (p *Problem) validateForSolve() (*Solution, error) {
 	return nil, nil
 }
 
-// solvePresolved runs the engine on the problem w.ps presolved from p
-// and maps the reduced solution back to p's variable space. The dense
-// engine runs in w.tab.
-func (p *Problem) solvePresolved(engine Engine, w *workspace) (*Solution, error) {
+// solvePresolved solves the problem w.ps presolved from p in the tableau
+// w.tab and maps the reduced solution back to p's variable space.
+func (p *Problem) solvePresolved(w *workspace) (*Solution, error) {
 	ps := &w.ps
 	if ps.infeasible {
 		return &Solution{Status: Infeasible}, nil
 	}
 	if ps.identity {
-		return p.solveAsIs(engine, &w.tab), nil
+		return p.solveAsIs(&w.tab), nil
 	}
 	// The reduction has no fixed variable and no empty row left, so it is
 	// solved as it stands.
@@ -436,38 +347,23 @@ func (p *Problem) solvePresolved(engine Engine, w *workspace) (*Solution, error)
 		return nil, err
 	}
 	if sol == nil {
-		sol = ps.reduced.solveAsIs(engine, &w.tab)
+		sol = ps.reduced.solveAsIs(&w.tab)
 	}
 	return ps.expand(p, sol), nil
 }
 
-// solveAsIs runs the engine on p without presolve, the dense engine in tab.
-func (p *Problem) solveAsIs(engine Engine, tab *tableau) *Solution {
-	var (
-		status Status
-		iters  int
-		values func() []float64
-		duals  func(float64) []float64
-	)
-	if engine == RevisedEngine {
-		e := newRevised(p)
-		status = e.solve()
-		iters = e.iters
-		values, duals = e.structuralValues, e.duals
-	} else {
-		tab.load(p)
-		status = tab.solve()
-		iters = tab.iters
-		values, duals = tab.structuralValues, tab.duals
-	}
-	sol := &Solution{Status: status, Iterations: iters}
+// solveAsIs solves p without presolve in the tableau tab.
+func (p *Problem) solveAsIs(tab *tableau) *Solution {
+	tab.load(p)
+	status := tab.solve()
+	sol := &Solution{Status: status, Iterations: tab.iters}
 	if status == Optimal {
 		sign := 1.0
 		if p.sense == Maximize {
 			sign = -1.0
 		}
-		sol.y = duals(sign)
-		sol.x = values()
+		sol.y = tab.duals(sign)
+		sol.x = tab.structuralValues()
 		obj := 0.0
 		for j, v := range p.vars {
 			obj += v.cost * sol.x[j]

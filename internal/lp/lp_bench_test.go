@@ -77,53 +77,10 @@ func BenchmarkSolveSchedulingShaped(b *testing.B) {
 		}
 		p.AddConstraint("sinr", LE, src.Uniform(0.5, 1), terms...)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sol, err := p.Solve(); err != nil || sol.Status != Optimal {
-			b.Fatalf("err=%v status", err)
-		}
-	}
-}
-
-// Engine ablation: the dense tableau vs the revised simplex on the
-// scheduling-shaped instance (many columns, fewer rows).
-func BenchmarkEngineTableauSchedulingShaped(b *testing.B) {
-	benchEngineSchedulingShaped(b, TableauEngine)
-}
-
-func BenchmarkEngineRevisedSchedulingShaped(b *testing.B) {
-	benchEngineSchedulingShaped(b, RevisedEngine)
-}
-
-func benchEngineSchedulingShaped(b *testing.B, eng Engine) {
-	b.Helper()
-	src := rng.New(2)
-	const pairs = 120
-	p := NewProblem(Maximize)
-	ids := make([]VarID, pairs)
-	for k := 0; k < pairs; k++ {
-		ids[k] = p.AddVar("a", 0, 1, src.Uniform(1e5, 1e7))
-	}
-	for nrow := 0; nrow < 22; nrow++ {
-		terms := make([]Term, 0, 12)
-		for _, k := range src.Subset(pairs, 10) {
-			terms = append(terms, Term{Var: ids[k], Coef: 1})
-		}
-		p.AddConstraint("radio", LE, 1, terms...)
-	}
-	for k := 0; k < pairs; k++ {
-		terms := []Term{{Var: ids[k], Coef: src.Uniform(-1, 1)}}
-		for _, k2 := range src.Subset(pairs, pairs/5) {
-			if k2 == k {
-				continue
-			}
-			terms = append(terms, Term{Var: ids[k2], Coef: src.Uniform(0, 0.5)})
-		}
-		p.AddConstraint("sinr", LE, src.Uniform(0.5, 1), terms...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sol, err := p.SolveWith(eng); err != nil || sol.Status != Optimal {
 			b.Fatalf("err=%v status", err)
 		}
 	}

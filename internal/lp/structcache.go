@@ -15,17 +15,33 @@ import "math"
 // A refreshed reduction is bit-identical to a fresh presolve (the refresh
 // replays the same arithmetic in the same order), so cached solves return
 // identical results and iteration counts — the property that lets the
-// cold, golden-pinned simulation path use the cache safely.
+// golden-pinned simulation path use the cache safely.
 //
 // The zero value is ready to use. A PresolveCache is not safe for
 // concurrent use.
 type PresolveCache struct {
 	sig   uint64
 	valid bool
-	// work holds the cached reduction (work.ps) and the dense engine's
-	// tableau, reused across the cached solves, each of which may be of
-	// a freshly built Problem.
+	// work holds the cached reduction (work.ps) and the tableau, reused
+	// across the cached solves, each of which may be of a freshly built
+	// Problem.
 	work workspace
+}
+
+// FNV-1a-style 64-bit mixing, one multiply per word instead of one per
+// byte: signatures are hashed over every constraint term of LPs rebuilt
+// each slot, and the byte-wise loop was measurable in slot profiles. The
+// values are ephemeral (never persisted).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 {
+	h ^= v
+	h *= fnvPrime64
+	h ^= h >> 29
+	return h
 }
 
 // presolveSignature hashes everything presolve's structural decisions
@@ -124,11 +140,11 @@ func (p *Problem) SolveCached(c *PresolveCache) (*Solution, error) {
 		if !c.work.ps.refresh(p) {
 			return &Solution{Status: Infeasible}, nil
 		}
-		return p.solvePresolved(TableauEngine, &c.work)
+		return p.solvePresolved(&c.work)
 	}
 	c.work.ps.build(p)
 	// Infeasible reductions stop early with partial mappings; cache only
 	// complete analyses.
 	c.sig, c.valid = sig, !c.work.ps.infeasible
-	return p.solvePresolved(TableauEngine, &c.work)
+	return p.solvePresolved(&c.work)
 }

@@ -239,3 +239,81 @@ func TestPinCorpusParallel(t *testing.T) {
 		})
 	}
 }
+
+// mutateValues perturbs right-hand sides and bounds and, with small
+// probability, costs: the edits callers make between solves of one
+// Problem.
+func mutateValues(src *rng.Source, p *Problem) {
+	for i := 0; i < p.NumConstraints(); i++ {
+		if src.Bernoulli(0.6) {
+			p.SetConstraintRHS(i, p.ConstraintRHS(i)+src.Uniform(-0.5, 0.5))
+		}
+	}
+	for j := 0; j < p.NumVars(); j++ {
+		if src.Bernoulli(0.3) {
+			lo, hi := p.VarBounds(VarID(j))
+			lo += src.Uniform(-0.3, 0.3)
+			if !math.IsInf(hi, 1) {
+				hi += src.Uniform(-0.3, 0.3)
+			}
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			p.SetVarBounds(VarID(j), lo, hi)
+		}
+		if src.Bernoulli(0.1) {
+			p.SetVarCost(VarID(j), src.Uniform(-3, 3))
+		}
+	}
+}
+
+// TestWorkspaceResolveAfterEdits re-solves one Problem after each of a
+// random sequence of value edits and requires every result to match a
+// solve in a fresh workspace bit for bit, with each optimum certified.
+func TestWorkspaceResolveAfterEdits(t *testing.T) {
+	src := rng.New(9461)
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + src.Intn(7)
+		m := 1 + src.Intn(7)
+		sense := Minimize
+		if src.Bernoulli(0.5) {
+			sense = Maximize
+		}
+		p, _, _ := feasibleRandomLP(src, n, m, sense)
+		for round := 0; round < 8; round++ {
+			sol, err := solveCertified(t, p)
+			if err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			requireFreshMatch(t, "resolve", p, sol)
+			mutateValues(src, p)
+		}
+	}
+}
+
+// TestWorkspaceInfeasibleTransitions drives one problem through feasible
+// → infeasible → feasible purely via rhs edits and requires each re-solve
+// in the reused workspace to track the status.
+func TestWorkspaceInfeasibleTransitions(t *testing.T) {
+	p := NewProblem(Minimize)
+	x := p.AddVar("x", 0, 1, 1)
+	y := p.AddVar("y", 0, 1, 2)
+	p.AddConstraint("need", GE, 1.5, Term{x, 1}, Term{y, 1})
+
+	sol, err := p.Solve()
+	requireStatus(t, sol, err, Optimal)
+	if math.Abs(sol.Objective-2.0) > 1e-9 { // x=1, y=0.5
+		t.Fatalf("objective = %v, want 2", sol.Objective)
+	}
+
+	p.SetConstraintRHS(0, 5) // beyond x+y's reach
+	sol, err = p.Solve()
+	requireStatus(t, sol, err, Infeasible)
+
+	p.SetConstraintRHS(0, 0.5)
+	sol, err = p.Solve()
+	requireStatus(t, sol, err, Optimal)
+	if math.Abs(sol.Objective-0.5) > 1e-9 { // x=0.5
+		t.Fatalf("objective = %v, want 0.5", sol.Objective)
+	}
+}

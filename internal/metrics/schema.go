@@ -19,12 +19,13 @@ const SchemaName = "greencell.metrics"
 // Version history: 2 added the degradation fields (degraded,
 // degraded_causes) of the fault-tolerance layer (docs/ROBUSTNESS.md);
 // 3 added the on-demand summary counters lp_warm_starts_total and
-// lp_basis_invalidations_total of the warm-started LP engine
-// (docs/PERFORMANCE.md) — emitted only by runs with warm-starting on,
-// so cold streams are byte-compatible with version 2 apart from this
-// version field; 4 registered the cluster coordinator's serving-level
-// coord_* counters (docs/CLUSTER.md) — slot records and summaries are
-// unchanged, so v4 streams differ from v3 only in this version field;
+// lp_basis_invalidations_total of the warm-started LP engine — emitted
+// only by runs with warm-starting on, so cold streams are byte-compatible
+// with version 2 apart from this version field (the engine and both
+// counters have since been removed, leaving default streams unchanged);
+// 4 registered the cluster coordinator's serving-level coord_* counters
+// (docs/CLUSTER.md) — slot records and summaries are unchanged, so v4
+// streams differ from v3 only in this version field;
 // 5 registered the distributed controller's net_* summary counters
 // (docs/DISTRIBUTED.md) — emitted only by distributed runs over a
 // non-ideal network, so monolithic and perfect-network streams differ

@@ -57,12 +57,6 @@ type Request struct {
 	// on which the controller falls back to the idle safe action
 	// (docs/ROBUSTNESS.md).
 	MaxLPIterations int
-	// Warm, when non-nil, lets the LP-backed strategies (SequentialFix,
-	// Relaxed) warm-start their solves from the previous fixing round and
-	// the previous slot's exported basis, and records the next basis back
-	// into it. nil (the default) keeps the cold path bit-identical to the
-	// golden fixture. See WarmState and docs/PERFORMANCE.md.
-	Warm *WarmState
 }
 
 func (r *Request) maxPower(node int) float64 {
@@ -81,13 +75,6 @@ func (r *Request) maxPower(node int) float64 {
 type SolveStats struct {
 	LPSolves     int
 	LPIterations int
-	// WarmStarts counts LP solves that reused a prior basis; and
-	// BasisInvalidations counts prior bases discarded for a cold rebuild
-	// (structure change or failed reuse). Both stay zero unless the
-	// request carried a WarmState (lp_warm_starts_total /
-	// lp_basis_invalidations_total in docs/METRICS.md).
-	WarmStarts         int
-	BasisInvalidations int
 }
 
 // Assignment is the outcome of scheduling one slot.
@@ -383,13 +370,6 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 	chosen := make([]bool, len(pairs))
 	fixedZero := make([]bool, len(pairs))
 	var stats SolveStats
-	// Warm mode: one live engine for the whole fixing loop (each round is
-	// a bound-only edit the engine re-solves with dual simplex), seeded
-	// from the previous slot's basis when the pair structure matches.
-	var ws *lp.WarmSolver
-	if req.Warm != nil {
-		ws = warmSolve(prob, req.Warm.sf)
-	}
 
 	// nodeBusy counts the radio slots claimed by fixed-to-one pairs;
 	// constraint (22) forces pairs touching exhausted nodes to zero.
@@ -461,13 +441,7 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 		if remaining == 0 {
 			break
 		}
-		var sol *lp.Solution
-		var err error
-		if ws != nil {
-			sol, err = ws.Solve()
-		} else {
-			sol, err = prob.Solve()
-		}
+		sol, err := prob.Solve()
 		if err != nil {
 			return nil, fmt.Errorf("sched: sequential-fix LP: %w", err)
 		}
@@ -526,9 +500,6 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 				}
 			}
 		}
-	}
-	if ws != nil {
-		harvest(ws, &req.Warm.sf, &stats)
 	}
 	asg := finalize(req, pairs, chosen)
 	asg.Stats = stats
@@ -661,28 +632,7 @@ func (Relaxed) Schedule(req *Request) (*Assignment, error) {
 		return asg, nil
 	}
 	prob, ids := buildLP(req, pairs)
-	var sol *lp.Solution
-	var err error
-	switch {
-	case req.Warm != nil && (req.Warm.relaxed == nil || req.Warm.relaxed.Matches(prob)):
-		// No prior basis (bootstrap a warm-startable engine once) or the
-		// pair structure repeats: solve through the warm engine.
-		ws := warmSolve(prob, req.Warm.relaxed)
-		sol, err = ws.Solve()
-		if err == nil {
-			harvest(ws, &req.Warm.relaxed, &asg.Stats)
-		}
-	case req.Warm != nil:
-		// The candidate-pair structure moved away from the saved basis.
-		// A revised-engine cold solve only to re-export a basis that the
-		// next slot would most likely invalidate again is slower than the
-		// presolved cold path, so take the cheap route and keep the saved
-		// basis — a future slot with matching structure can still use it.
-		asg.Stats.BasisInvalidations++
-		sol, err = prob.Solve()
-	default:
-		sol, err = prob.Solve()
-	}
+	sol, err := prob.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("sched: relaxed LP: %w", err)
 	}

@@ -503,6 +503,33 @@ func TestHTTPAPI(t *testing.T) {
 
 // TestStreamFollowsLive: a client connected before the job finishes sees
 // records arrive incrementally and the stream terminate at the summary.
+// TestHTTPRejectsRetiredWarmStartLP: a job whose spec still carries the
+// retired warm_start_lp knob is refused with a 400 naming the field, and
+// no job is created for it.
+func TestHTTPRejectsRetiredWarmStartLP(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"spec":{"slots":8,"seed":5,"warm_start_lp":true}}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != 400 || !strings.Contains(body, "warm_start_lp") {
+		t.Fatalf("warm_start_lp spec: status %d body %s", resp.StatusCode, body)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submission created %d job(s)", len(jobs))
+	}
+}
+
 func TestStreamFollowsLive(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	defer func() {

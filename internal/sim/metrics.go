@@ -180,19 +180,6 @@ func (r *Recorder) SlotHook(sr *core.SlotResult) {
 		r.cSchedIters.Add(float64(st.SchedLPIterations))
 		r.cS4Solves.Add(float64(st.S4LPSolves))
 		r.cS4Its.Add(float64(st.S4LPIterations))
-		// Warm-start counters register on demand, like the per-cause
-		// degradation counters: cold runs (the golden fixture among them)
-		// never emit them.
-		if st.LPWarmStarts > 0 {
-			r.reg.Counter("lp_warm_starts_total", "solves",
-				"warm-started LP solves across S1+S4 (docs/PERFORMANCE.md)").
-				Add(float64(st.LPWarmStarts))
-		}
-		if st.LPBasisInvalidations > 0 {
-			r.reg.Counter("lp_basis_invalidations_total", "solves",
-				"LP bases discarded for a cold rebuild (docs/PERFORMANCE.md)").
-				Add(float64(st.LPBasisInvalidations))
-		}
 	}
 	if r.hasPending && r.pending.HasRelaxed {
 		v := r.pending.RelaxedObjective

@@ -169,6 +169,19 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeSpecRejectsRetiredWarmStartLP: the warm_start_lp knob went
+// with the warm-started LP path. A spec that still asks for it fails by
+// name rather than quietly running the default solver path.
+func TestDecodeSpecRejectsRetiredWarmStartLP(t *testing.T) {
+	_, err := DecodeSpec([]byte(`{"slots": 8, "warm_start_lp": true}`))
+	if err == nil {
+		t.Fatal("warm_start_lp accepted")
+	}
+	if !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), "warm_start_lp") {
+		t.Fatalf("error %v: want ErrSpec naming warm_start_lp", err)
+	}
+}
+
 // TestSpecFaultsAndBudget: the fault and budget knobs reach the scenario.
 func TestSpecFaultsAndBudget(t *testing.T) {
 	spec := ScenarioSpec{
